@@ -16,7 +16,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from ramsey.graphs import Graph, GraphError, _bits, embeds, from_edges, isomorphic, lex_edges
+from ramsey.graphs import (
+    MAX_VERTICES,
+    Graph,
+    GraphError,
+    _bits,
+    embeds,
+    from_edges,
+    isomorphic,
+    lex_edges,
+)
 
 RED = "red"
 BLUE = "blue"
@@ -70,6 +79,9 @@ class EdgeColoring:
     @classmethod
     def from_red(cls, n: int, red_edges) -> "EdgeColoring":
         """Total coloring with the given edges red and everything else blue."""
+        # checked before lex_edges(n) allocates C(n, 2) pairs
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
         red = {(min(i, j), max(i, j)) for i, j in red_edges}
         for i, j in red:
             if not (0 <= i < n and 0 <= j < n and i != j):
@@ -291,40 +303,60 @@ def _component_masks_local(g: Graph) -> list[int]:
 
 
 def _has_matching(adj: list[int], avail: int, need: int) -> bool:
-    """Decision: avail's induced subgraph has a matching of >= need edges."""
+    """Decision: avail's induced subgraph has a matching of >= need edges.
+
+    Branches only on the neighbours of one vertex v of least positive
+    degree.  That loses nothing: if a maximum matching M misses v, then v's
+    neighbour w is matched in M (else M + vw is larger), and swapping w's
+    edge for vw gives a maximum matching that covers v.
+    """
     if need <= 0:
         return True
     if avail.bit_count() < 2 * need:
         return False
+    # one scan: drop vertices with no available neighbour (they never
+    # match), keep the one with the fewest, stop early at a leaf
+    best_nb = 0
+    best_deg = 32  # above any degree, since n <= MAX_VERTICES = 32
     rest = avail
-    v = -1
     while rest:
         bit = rest & -rest
-        if adj[bit.bit_length() - 1] & avail:
-            v = bit.bit_length() - 1
-            break
         rest ^= bit
-        avail ^= bit  # vertices with no available neighbour never match
-    if v < 0:
-        return False
-    vbit = 1 << v
-    nb = adj[v] & avail
-    while nb:
-        wbit = nb & -nb
-        nb ^= wbit
+        nb = adj[bit.bit_length() - 1] & avail
+        if not nb:
+            avail ^= bit
+            continue
+        d = nb.bit_count()
+        if d < best_deg:
+            vbit = bit
+            best_nb = nb
+            best_deg = d
+            if d == 1:
+                break
+    while best_nb:
+        wbit = best_nb & -best_nb
+        best_nb ^= wbit
         if _has_matching(adj, avail ^ vbit ^ wbit, need - 1):
             return True
-    return _has_matching(adj, avail ^ vbit, need)
+    return False
 
 
 def _make_check(pat: Graph):
     """Build check(adj, n, u, v) -> True iff pat occurs in the colored graph
     after edge (u, v) was just added to it.  Exact, used for pruning and,
-    cumulatively, for leaf validity."""
+    cumulatively, for leaf validity.
+
+    Precondition: the color class without (u, v) has no copy of pat, which
+    holds when every edge of the class was checked as it was added.  The
+    checks only look for copies that use (u, v), so on a class that
+    already held pat they may answer False.
+    """
     m = _as_matching(pat)
     if m is not None:
-        def check_matching(adj, n, u, v, _m=m):
-            return _has_matching(adj, (1 << n) - 1, _m)
+        # a new mK_2 uses (u, v), so it is (u, v) plus an (m-1)-matching
+        # of the class minus u and v
+        def check_matching(adj, n, u, v, _need=m - 1):
+            return _has_matching(adj, ((1 << n) - 1) & ~((1 << u) | (1 << v)), _need)
         return check_matching
     s = _as_star(pat)
     if s is not None:
@@ -369,7 +401,10 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
 
     prefix, when given, fixes the colors (1=red, 0=blue) of the first
     len(prefix) lexicographic edges; the vertex-0 symmetry break is only
-    applied to edges the DFS assigns itself.
+    applied to edges the DFS assigns itself.  The prefix edges are not
+    checked here, and the anchored checks of later edges assume neither
+    color class of the prefix holds its pattern, so prefixes must come
+    from _vertex0_prefixes, which checks each edge as it adds it.
 
     Returns (colors or None, nodes).  colors is a list of 1/0 per edge.
     """

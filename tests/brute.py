@@ -16,6 +16,25 @@ def brute_embeds(h: Graph, g: Graph) -> bool:
     return False
 
 
+def brute_has_matching(g: Graph, m: int, avail: int | None = None) -> bool:
+    """Try every matching, grown edge by edge in lexicographic order, of the
+    subgraph induced by avail (default: all of g) for one with m edges."""
+    if avail is None:
+        avail = (1 << g.n) - 1
+    edges = [(i, j) for i, j in g.edges() if (avail >> i) & 1 and (avail >> j) & 1]
+
+    def grow(start: int, used: frozenset, size: int) -> bool:
+        if size >= m:
+            return True
+        for k in range(start, len(edges)):
+            i, j = edges[k]
+            if i not in used and j not in used and grow(k + 1, used | {i, j}, size + 1):
+                return True
+        return False
+
+    return grow(0, frozenset(), 0)
+
+
 def brute_good_coloring_exists(n: int, F: Graph, G: Graph) -> bool:
     """Scan all 2^C(n,2) total colorings, no pruning, no symmetry."""
     edges = lex_edges(n)

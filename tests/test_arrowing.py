@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,11 +18,13 @@ from ramsey.arrowing import (
     ramsey_number_with_witness,
     star_witness,
     verify_coloring,
+    _has_matching,
+    _make_check,
 )
 from ramsey.families import graph_from_name
 from ramsey.graphs import from_edges, lex_edges
 
-from brute import brute_good_coloring_exists
+from brute import brute_good_coloring_exists, brute_has_matching
 
 C4 = graph_from_name("C4")
 K2 = graph_from_name("K2")
@@ -147,10 +150,55 @@ class TestArrows:
             assert not (prev and not cur)
             prev = cur
 
+    def test_search_tree_pinned(self):
+        # the node count and the witness move if a check prunes differently
+        m4 = graph_from_name("4K2")
+        assert arrows(9, C4, m4).nodes == 113494
+        text = "n=8\nred=0-1,0-2,0-3,0-4,0-5,0-6,0-7,1-2,3-4,5-6\n"
+        assert coloring_to_text(arrows(8, C4, m4).witness) == text
+        assert coloring_to_text(arrows(8, C4, m4, jobs=2).witness) == text
+
     def test_color_duality(self):
         for n in range(2, 7):
             assert arrows(n, C4, K3).arrows == arrows(n, K3, C4).arrows
             assert arrows(n, P4, K13).arrows == arrows(n, K13, P4).arrows
+
+
+class TestMatchingCheck:
+    """The matching kernel and its anchored check against brute_has_matching."""
+
+    def test_has_matching_vs_oracle(self):
+        rng = random.Random(1552)
+        for _ in range(800):
+            n = rng.randint(0, 10)
+            density = rng.random()
+            g = from_edges(n, [e for e in lex_edges(n) if rng.random() < density])
+            avail = rng.getrandbits(n) if n else 0
+            need = rng.randint(0, 5)
+            got = _has_matching(list(g.adj), avail, need)
+            assert got == brute_has_matching(g, need, avail), (g, bin(avail), need)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_anchored_check_fires_first(self, m):
+        # the check sees only copies through the new edge, so grow the class
+        # one edge at a time and stop where it first fires
+        check = _make_check(graph_from_name(f"{m}K2"))
+        rng = random.Random(m)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            order = lex_edges(n)
+            rng.shuffle(order)
+            first = next((t for t in range(len(order))
+                          if brute_has_matching(from_edges(n, order[:t + 1]), m)), None)
+            adj = [0] * n
+            fired = None
+            for t, (u, v) in enumerate(order):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                if check(adj, n, u, v):
+                    fired = t
+                    break
+            assert fired == first, (n, order)
 
 
 class TestOracleEquivalence:
@@ -216,6 +264,7 @@ class TestWitnessFiles:
 
     @pytest.mark.parametrize("bad", [
         "", "n=5", "n=x\nred=", "n=3\nred=0-0", "n=3\nred=5-1", "n=3\nblue=0-1",
+        "n=33\nred=", "n=100000\nred=",
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):
