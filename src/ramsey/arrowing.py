@@ -21,9 +21,11 @@ from ramsey.graphs import (
     Graph,
     GraphError,
     _bits,
+    as_biclique,
+    embed_plan,
     embeds,
+    extend_embedding,
     from_edges,
-    isomorphic,
     lex_edges,
 )
 
@@ -179,129 +181,6 @@ def _as_star(g: Graph) -> Optional[int]:
     return None
 
 
-def _as_biclique_2k(g: Graph) -> Optional[int]:
-    """k if g is K_{2,k} for some k >= 1 (C_4 is K_{2,2})."""
-    k = g.n - 2
-    if k < 1 or g.q != 2 * k:
-        return None
-    ref = from_edges(k + 2, [(c, leaf) for c in (0, 1) for leaf in range(2, k + 2)])
-    return k if isomorphic(g, ref) else None
-
-
-class _AnchoredMatcher:
-    """Backtracking test for 'pattern occurs using a given host edge'.
-
-    Orders are precomputed per anchored pattern edge: the anchor pair first,
-    then the rest of its component breadth-first, then the remaining
-    components each from a high-degree vertex.  Mapped-neighbour candidate
-    masks keep the extension cheap on bitmask hosts.
-    """
-
-    def __init__(self, pat: Graph):
-        self.pat = pat
-        self.n = pat.n
-        self.deg = [row.bit_count() for row in pat.adj]
-        self.plans = []  # (order, earlier_nbrs per vertex) per directed anchor edge
-        comp_masks = _component_masks_local(pat)
-        for a in range(pat.n):
-            for b in _bits(pat.adj[a]):
-                order = self._order_from(a, b, comp_masks)
-                earlier = []
-                seen: list[int] = []
-                for v in order:
-                    earlier.append([w for w in seen if (pat.adj[v] >> w) & 1])
-                    seen.append(v)
-                self.plans.append((order, earlier))
-
-    def _order_from(self, a: int, b: int, comp_masks) -> list[int]:
-        pat = self.pat
-        anchor_mask = next(m for m in comp_masks if (m >> a) & 1)
-        order = [a, b]
-        seen = {a, b}
-        queue = [a, b]
-        while queue:
-            v = queue.pop(0)
-            for w in _bits(pat.adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-                    queue.append(w)
-        for m in comp_masks:
-            if m == anchor_mask:
-                continue
-            verts = list(_bits(m))
-            start = max(verts, key=lambda v: self.deg[v])
-            sub = [start]
-            sub_seen = {start}
-            qq = [start]
-            while qq:
-                v = qq.pop(0)
-                for w in _bits(pat.adj[v]):
-                    if w not in sub_seen:
-                        sub_seen.add(w)
-                        sub.append(w)
-                        qq.append(w)
-            order.extend(sub)
-        return order
-
-    def contains(self, adj: list[int], n_host: int, u: int, v: int) -> bool:
-        all_mask = (1 << n_host) - 1
-        phi = [-1] * self.n
-        deg = self.deg
-
-        def place(order, earlier, t, used):
-            if t == len(order):
-                return True
-            pv = order[t]
-            nbrs = earlier[t]
-            if nbrs:
-                cand = all_mask & ~used
-                for w in nbrs:
-                    cand &= adj[phi[w]]
-            else:
-                cand = all_mask & ~used
-            need = deg[pv]
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                x = bit.bit_length() - 1
-                if adj[x].bit_count() < need:
-                    continue
-                phi[pv] = x
-                if place(order, earlier, t + 1, used | bit):
-                    return True
-            phi[pv] = -1
-            return False
-
-        for order, earlier in self.plans:
-            a, b = order[0], order[1]
-            if adj[u].bit_count() >= deg[a] and adj[v].bit_count() >= deg[b]:
-                phi[a] = u
-                phi[b] = v
-                if place(order, earlier, 2, (1 << u) | (1 << v)):
-                    return True
-                phi[a] = -1
-                phi[b] = -1
-        return False
-
-
-def _component_masks_local(g: Graph) -> list[int]:
-    masks = []
-    remaining = (1 << g.n) - 1
-    while remaining:
-        comp = remaining & -remaining
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        masks.append(comp)
-        remaining &= ~comp
-    return masks
-
-
 def _has_matching(adj: list[int], avail: int, need: int) -> bool:
     """Decision: avail's induced subgraph has a matching of >= need edges.
 
@@ -363,9 +242,9 @@ def _make_check(pat: Graph):
         def check_star(adj, n, u, v, _s=s):
             return adj[u].bit_count() >= _s or adj[v].bit_count() >= _s
         return check_star
-    k = _as_biclique_2k(pat)
-    if k is not None:
-        def check_biclique(adj, n, u, v, _k=k):
+    ab = as_biclique(pat)
+    if ab is not None and ab[0] == 2:
+        def check_biclique(adj, n, u, v, _k=ab[1]):
             # a new K_{2,k} through (u,v) pairs one endpoint with a second
             # "center" adjacent to the other endpoint
             au = adj[u]
@@ -384,10 +263,21 @@ def _make_check(pat: Graph):
                     return True
             return False
         return check_biclique
-    matcher = _AnchoredMatcher(pat)
+    # a new copy maps some pattern edge (a, b) onto (u, v), one way round or
+    # the other: one anchored plan per directed edge, run by the kernel the
+    # containment section of graphs.py describes
+    plans = [embed_plan(pat, (a, b)) for a in range(pat.n) for b in _bits(pat.adj[a])]
 
-    def check_generic(adj, n, u, v, _m=matcher):
-        return _m.contains(adj, n, u, v)
+    def check_generic(adj, n, u, v, _plans=plans):
+        du = adj[u].bit_count()
+        dv = adj[v].bit_count()
+        free = ((1 << n) - 1) & ~((1 << u) | (1 << v))
+        for plan in _plans:
+            # steps 0 and 1 are the anchor's ends, mapped onto u and v
+            if (du >= plan[0][1] and dv >= plan[1][1]
+                    and extend_embedding(adj, free, plan, [u, v] + [0] * (len(plan) - 2), 2)):
+                return True
+        return False
     return check_generic
 
 
@@ -406,6 +296,9 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
     color class of the prefix holds its pattern, so prefixes must come
     from _vertex0_prefixes, which checks each edge as it adds it.
 
+    Patterns with no edges, and pairs of which neither fits in K_n, are
+    decided by _run_search before it gets here.
+
     Returns (colors or None, nodes).  colors is a list of 1/0 per edge.
     """
     edges = lex_edges(n)
@@ -413,16 +306,6 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
     red = [0] * n
     blue = [0] * n
     col = [-1] * m
-
-    # a pattern with no edges occurs in its color class iff it fits at all;
-    # no coloring can avoid it
-    if F.q == 0 and F.n <= n:
-        return None, 0
-    if G.q == 0 and G.n <= n:
-        return None, 0
-    if F.q > 0 and F.n > n and G.q > 0 and G.n > n:
-        return [1] * m, 0  # nothing fits; any coloring is good
-
     red_check = _make_check(F)
     blue_check = _make_check(G)
 
@@ -495,19 +378,29 @@ def _coloring_from_bits(n: int, col: list[int]) -> EdgeColoring:
     return EdgeColoring(n, tuple(RED if c == 1 else BLUE for c in col))
 
 
-def _vertex0_prefixes(n: int, F: Graph, G: Graph) -> list[list[int]]:
+def _vertex0_prefixes(n: int, F: Graph, G: Graph) -> tuple[list[tuple[int, list[int]]], int]:
     """Valid colorings of vertex 0's edges under the symmetry break, in the
-    order the sequential DFS visits them (all-red first)."""
+    order the sequential DFS visits them (all-red first), each paired with
+    the vertex-0 nodes that DFS counts on its way to it, and the nodes it
+    counts after the last one.
+
+    Coloring t is t red edges, then blue.  The DFS walks the red chain once,
+    up to its first prune, then for each t it reached, t falling, tries
+    blue at edges t.. until a prune or the end of vertex 0's edges.
+    """
     edges = lex_edges(n)
     red_check = _make_check(F)
     blue_check = _make_check(G)
     out = []
+    nodes = 0
     for t in range(n - 1, -1, -1):
         red = [0] * n
         blue = [0] * n
         ok = True
         for k in range(n - 1):
             u, v = edges[k]
+            if k >= t or t == n - 1:  # red edges count on the first pass only
+                nodes += 1
             if k < t:
                 red[u] |= 1 << v
                 red[v] |= 1 << u
@@ -521,8 +414,9 @@ def _vertex0_prefixes(n: int, F: Graph, G: Graph) -> list[list[int]]:
                     ok = False
                     break
         if ok:
-            out.append([1] * t + [0] * (n - 1 - t))
-    return out
+            out.append((nodes, [1] * t + [0] * (n - 1 - t)))
+            nodes = 0
+    return out, nodes
 
 
 def _search_task(args):
@@ -554,35 +448,43 @@ def find_good_coloring(n: int, F: Graph, G: Graph,
 def _run_search(n, F, G, budget, jobs):
     if n > 32:
         raise GraphError(f"order {n} exceeds cap 32")
+    t0 = time.monotonic()
+    # a pattern with no edges occurs in its color class iff it fits at all;
+    # no coloring can avoid it
+    if (F.q == 0 and F.n <= n) or (G.q == 0 and G.n <= n):
+        return None, 0, time.monotonic() - t0
+    if F.q > 0 and F.n > n and G.q > 0 and G.n > n:
+        # nothing fits; any coloring is good
+        return _coloring_from_bits(n, [1] * (n * (n - 1) // 2)), 0, time.monotonic() - t0
     if jobs <= 1 or n < 4:
-        t0 = time.monotonic()
         col, nodes = _search(n, F, G, budget)
         witness = _coloring_from_bits(n, col) if col is not None else None
         return witness, nodes, time.monotonic() - t0
 
-    t0 = time.monotonic()
-    prefixes = _vertex0_prefixes(n, F, G)
-    total_nodes = 0
+    prefixes, tail_nodes = _vertex0_prefixes(n, F, G)
     if not prefixes:
-        return None, 0, time.monotonic() - t0
+        return None, tail_nodes, time.monotonic() - t0
+    total_nodes = 0
     max_nodes = budget.max_nodes if budget else None
     max_seconds = budget.max_seconds if budget else None
-    tasks = [(n, (F.n, F.adj), (G.n, G.adj), p, max_nodes, max_seconds) for p in prefixes]
+    tasks = [(n, (F.n, F.adj), (G.n, G.adj), p, max_nodes, max_seconds) for _, p in prefixes]
     witness = None
     budget_hit = False
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_search_task, t) for t in tasks]
         # consume in task order: the first subtree with a good coloring is
         # the one sequential DFS would reach first
-        for fut in futures:
+        for (lead_nodes, _), fut in zip(prefixes, futures):
             status, col, nodes = fut.result()
-            total_nodes += nodes
+            total_nodes += lead_nodes + nodes
             if status == "budget":
                 budget_hit = True
                 break
             if col is not None:
                 witness = _coloring_from_bits(n, col)
                 break
+        else:
+            total_nodes += tail_nodes
         for fut in futures:
             fut.cancel()
     if witness is None and budget_hit:

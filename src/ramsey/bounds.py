@@ -22,7 +22,7 @@ from ramsey.arrowing import (
 )
 from ramsey.enumeration import EnumFilter, enumerate_graphs, isolate_free_graphs
 from ramsey.families import FamilySpec, describe, realize
-from ramsey.graphs import Graph, canonical_form, graph6_encode, is_connected
+from ramsey.graphs import Graph, canonical_form, disjoint_union, graph6_encode, is_connected
 
 THEOREMS = ("t1", "t2", "l31", "l32", "t3")
 
@@ -262,7 +262,7 @@ def check_cited_inequalities(q_max: int = 4, budget: Optional[Budget] = None,
         for g2, q2 in singles[i:]:
             if q1 + q2 > q_max:
                 continue
-            union = canonical_form(_union(g1, g2))
+            union = canonical_form(disjoint_union(g1, g2))
             lhs = r_of(union)
             rhs = r_of(g1) + r_of(g2) - 1
             out.append(InequalityCheck(
@@ -281,11 +281,6 @@ def check_cited_inequalities(q_max: int = 4, budget: Optional[Budget] = None,
                 f"r(C4,{describe(tree)}) <= max(4, {q + 2}, r(C4,K1,{q}))",
                 lhs, bound, lhs <= bound))
     return out
-
-
-def _union(a: Graph, b: Graph) -> Graph:
-    from ramsey.graphs import disjoint_union
-    return disjoint_union(a, b)
 
 
 def write_reports_jsonl(result: SweepResult, fp) -> None:

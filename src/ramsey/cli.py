@@ -51,10 +51,6 @@ def _budget_from(args) -> Optional[Budget]:
     return Budget(max_seconds=secs) if secs is not None else None
 
 
-def _graph(name: str):
-    return graph_from_name(name)
-
-
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9,]+", "_", name).strip("_")
 
@@ -111,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ramsey(args) -> int:
-    F = _graph(args.red)
-    G = _graph(args.blue)
+    F = graph_from_name(args.red)
+    G = graph_from_name(args.blue)
     r, witness = ramsey_number_with_witness(
         F, G, n_max=args.max_n, budget=_budget_from(args), jobs=args.jobs)
     print(r)
@@ -125,8 +121,8 @@ def _cmd_ramsey(args) -> int:
 
 
 def _cmd_arrows(args) -> int:
-    F = _graph(args.red)
-    G = _graph(args.blue)
+    F = graph_from_name(args.red)
+    G = graph_from_name(args.blue)
     out = arrows(args.n, F, G, budget=_budget_from(args), jobs=args.jobs)
     if out.arrows:
         print("ARROWS")
@@ -192,8 +188,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_witness_check(args) -> int:
-    F = _graph(args.red)
-    G = _graph(args.blue)
+    F = graph_from_name(args.red)
+    G = graph_from_name(args.blue)
     try:
         with open(args.file) as fp:
             coloring = coloring_from_text(fp.read())

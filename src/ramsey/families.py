@@ -21,6 +21,7 @@ from ramsey.graphs import (
     Graph,
     GraphError,
     MAX_VERTICES,
+    as_biclique,
     canonical_form,
     components,
     disjoint_union,
@@ -275,34 +276,12 @@ def _name_component(c: Graph) -> str:
         return "paw"
     if n == 5 and q == 4 and isomorphic(c, realize(FamilySpec("spider3"))):
         return "T3"
-    ab = _as_biclique(c)
+    ab = as_biclique(c)
     if ab:
         return f"K{ab[0]},{ab[1]}"
     if n >= 4 and q == 2 * (n - 2) + 1 and isomorphic(c, realize(FamilySpec("book", (n - 2,)))):
         return f"B{n - 2}"
     return "g6:" + graph6_encode(canonical_form(c))
-
-
-def _as_biclique(g: Graph) -> tuple[int, int] | None:
-    if g.n < 2 or not is_connected(g):
-        return None
-    side = [-1] * g.n
-    side[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for w in range(g.n):
-            if g.has_edge(v, w):
-                if side[w] < 0:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    return None
-    a = side.count(0)
-    b = g.n - a
-    if g.q != a * b:
-        return None
-    return (min(a, b), max(a, b))
 
 
 def describe(g: Graph) -> str:

@@ -128,27 +128,17 @@ def degree_profile(g: Graph) -> tuple[int, int, bool, bool]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << g.n) - 1
+    """The empty graph and K_1 count as connected."""
+    return len(_component_masks(g)) <= 1
 
 
-def components(g: Graph) -> list[Graph]:
-    """Connected components as separate graphs, re-indexed, in order of
-    their smallest original vertex."""
+def _component_masks(g: Graph) -> list[int]:
+    """Vertex bitmask of each connected component, in order of its smallest
+    vertex."""
+    masks = []
     remaining = (1 << g.n) - 1
-    out = []
     while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = 1 << start
+        comp = remaining & -remaining
         frontier = comp
         while frontier:
             nxt = 0
@@ -156,6 +146,16 @@ def components(g: Graph) -> list[Graph]:
                 nxt |= g.adj[v]
             frontier = nxt & ~comp
             comp |= nxt
+        masks.append(comp)
+        remaining &= ~comp
+    return masks
+
+
+def components(g: Graph) -> list[Graph]:
+    """Connected components as separate graphs, re-indexed, in order of
+    their smallest original vertex."""
+    out = []
+    for comp in _component_masks(g):
         verts = list(_bits(comp))
         index = {v: i for i, v in enumerate(verts)}
         adj = [0] * len(verts)
@@ -163,7 +163,6 @@ def components(g: Graph) -> list[Graph]:
             for w in _bits(g.adj[v]):
                 adj[index[v]] |= 1 << index[w]
         out.append(Graph(len(verts), adj))
-        remaining &= ~comp
     return out
 
 
@@ -290,42 +289,72 @@ def canonical_form(g: Graph) -> Graph:
 
 # ---------------------------------------------------------------------------
 # subgraph containment (non-induced monomorphism)
+#
+# Every containment test in the package runs one kernel: a plan fixes the
+# order in which the pattern's vertices are placed, and extend_embedding
+# backtracks over host bitmask rows along it.  Each plan step lists the
+# positions of the vertex's neighbours placed before it, so a candidate
+# image is one AND of their images' rows, and the vertex's degree, which a
+# candidate must reach.  embed_plan(h) walks components largest first, each
+# breadth-first from its highest-degree vertex, so every later vertex of a
+# component has a placed neighbour.  embed_plan(h, (a, b)) puts a and b
+# first and their component before the rest; a caller that maps a and b
+# onto a host edge (u, v) asks whether h occurs through that edge, which is
+# what the search's anchored checks need.  embeds(h, g) first compares
+# degree sequences (pigeonhole: h's i-th largest degree must not exceed
+# g's, or no injection can respect degrees) and only then backtracks.
 # ---------------------------------------------------------------------------
 
-def _match_order(h: Graph) -> list[int]:
-    """Pattern vertex order: components by decreasing edge count, each walked
-    from its highest-degree vertex so later vertices have mapped neighbours."""
+Plan = list[tuple[list[int], int]]
+
+
+def embed_plan(h: Graph, anchor: tuple[int, int] | None = None) -> Plan:
+    """Placement plan for h: per placed vertex, in order, the positions of
+    its earlier-placed neighbours and its degree.  With an anchor edge
+    (a, b), steps 0 and 1 are a and b."""
+    # lists, not tuples: CPython parks each resized tuple(generator) result
+    # on a per-size free list when it dies, which raised peak memory
+    deg = [row.bit_count() for row in h.adj]
+    lead = 1 << anchor[0] if anchor is not None else 0
+    comps = sorted(_component_masks(h),
+                   key=lambda m: (not m & lead, -sum(deg[v] for v in _bits(m))))
     order: list[int] = []
-    for comp_mask in sorted(_component_masks(h), key=lambda m: -sum(h.adj[v].bit_count() for v in _bits(m))):
-        verts = list(_bits(comp_mask))
-        start = max(verts, key=lambda v: h.adj[v].bit_count())
-        seen = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in sorted(_bits(h.adj[v]), key=lambda w: -h.adj[w].bit_count()):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return order
+    placed = 0
+    for comp in comps:
+        start = list(anchor) if comp & lead else [max(_bits(comp), key=deg.__getitem__)]
+        head = len(order)
+        order += start
+        placed |= sum(1 << v for v in start)
+        while head < len(order):
+            for w in sorted(_bits(h.adj[order[head]] & ~placed), key=lambda w: -deg[w]):
+                order.append(w)
+                placed |= 1 << w
+            head += 1
+    pos = {v: i for i, v in enumerate(order)}
+    return [([pos[w] for w in _bits(h.adj[v]) if pos[w] < i], deg[v])
+            for i, v in enumerate(order)]
 
 
-def _component_masks(g: Graph) -> list[int]:
-    masks = []
-    remaining = (1 << g.n) - 1
-    while remaining:
-        comp = remaining & -remaining
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        masks.append(comp)
-        remaining &= ~comp
-    return masks
+def extend_embedding(adj: Sequence[int], free: int, plan: Plan, img: list[int], t: int) -> bool:
+    """True iff plan's steps t, t+1, ... can be mapped onto distinct
+    vertices of the free mask, given the images img[:t] of the earlier
+    steps: each image adjacent to the images of the step's placed
+    neighbours and of at least the step's degree.  Writes img[t:]."""
+    if t == len(plan):
+        return True
+    nbrs, need = plan[t]
+    cand = free
+    for p in nbrs:
+        cand &= adj[img[p]]
+    while cand:
+        bit = cand & -cand
+        cand ^= bit
+        x = bit.bit_length() - 1
+        if adj[x].bit_count() >= need:
+            img[t] = x
+            if extend_embedding(adj, free ^ bit, plan, img, t + 1):
+                return True
+    return False
 
 
 def embeds(h: Graph, g: Graph) -> bool:
@@ -333,36 +362,25 @@ def embeds(h: Graph, g: Graph) -> bool:
     edge of g (subgraph containment, not induced)."""
     if h.n > g.n or h.q > g.q:
         return False
-    if h.n == 0:
-        return True
-    order = _match_order(h)
-    h_adj = h.adj
-    g_adj = g.adj
-    g_deg = [row.bit_count() for row in g_adj]
-    h_deg = [row.bit_count() for row in h_adj]
-    all_mask = (1 << g.n) - 1
-    phi = [-1] * h.n
-
-    def place(t: int, used: int) -> bool:
-        if t == len(order):
-            return True
-        v = order[t]
-        need = h_deg[v]
-        cand = all_mask & ~used
-        anchored = h_adj[v]
-        for w in _bits(anchored):
-            if phi[w] >= 0:
-                cand &= g_adj[phi[w]]
-        for x in _bits(cand):
-            if g_deg[x] < need:
-                continue
-            phi[v] = x
-            if place(t + 1, used | (1 << x)):
-                return True
-        phi[v] = -1
+    h_degs = sorted([row.bit_count() for row in h.adj], reverse=True)
+    g_degs = sorted([row.bit_count() for row in g.adj], reverse=True)
+    if any(d > gd for d, gd in zip(h_degs, g_degs)):
         return False
+    return extend_embedding(g.adj, (1 << g.n) - 1, embed_plan(h), [0] * h.n, 0)
 
-    return place(0, 0)
+
+def as_biclique(g: Graph) -> tuple[int, int] | None:
+    """(a, b) with a <= b if g is the complete bipartite graph K_{a,b}."""
+    if g.n < 2 or not g.adj[0]:
+        return None
+    # vertex 0's side is everything outside its neighbourhood; in K_{a,b}
+    # each side's rows are exactly the other side
+    other = g.adj[0]
+    side = ((1 << g.n) - 1) & ~other
+    if any(g.adj[v] != other for v in _bits(side)) or any(g.adj[v] != side for v in _bits(other)):
+        return None
+    a, b = sorted((side.bit_count(), other.bit_count()))
+    return a, b
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:

@@ -24,7 +24,7 @@ from ramsey.arrowing import (
 from ramsey.families import graph_from_name
 from ramsey.graphs import from_edges, lex_edges
 
-from brute import brute_good_coloring_exists, brute_has_matching
+from brute import brute_embeds, brute_good_coloring_exists, brute_has_matching
 
 C4 = graph_from_name("C4")
 K2 = graph_from_name("K2")
@@ -154,9 +154,26 @@ class TestArrows:
         # the node count and the witness move if a check prunes differently
         m4 = graph_from_name("4K2")
         assert arrows(9, C4, m4).nodes == 113494
+        assert arrows(9, C4, m4, jobs=2).nodes == 113494
         text = "n=8\nred=0-1,0-2,0-3,0-4,0-5,0-6,0-7,1-2,3-4,5-6\n"
         assert coloring_to_text(arrows(8, C4, m4).witness) == text
         assert coloring_to_text(arrows(8, C4, m4, jobs=2).witness) == text
+
+    @pytest.mark.parametrize("red,blue,n", [
+        ("C4", "K3", 6), ("C4", "K3", 7), ("C4", "4K2", 8), ("C4", "3K2", 7),
+        ("C4", "2K3", 7), ("K3", "C4", 6), ("P4", "P3 u K2", 5), ("C4", "K1,3", 6),
+        ("K1", "K3", 4), ("2K3", "2K3", 5),
+    ])
+    def test_jobs_do_not_change_nodes(self, red, blue, n):
+        # the parallel path counts the vertex-0 nodes the sequential DFS
+        # visits before, between and after the prefixes it hands out
+        F, G = graph_from_name(red), graph_from_name(blue)
+        seq = arrows(n, F, G)
+        par = arrows(n, F, G, jobs=2)
+        assert par.nodes == seq.nodes
+        assert par.witness == seq.witness
+        if seq.witness is not None:
+            assert verify_coloring(seq.witness, F, G)
 
     def test_color_duality(self):
         for n in range(2, 7):
@@ -190,6 +207,42 @@ class TestMatchingCheck:
             rng.shuffle(order)
             first = next((t for t in range(len(order))
                           if brute_has_matching(from_edges(n, order[:t + 1]), m)), None)
+            adj = [0] * n
+            fired = None
+            for t, (u, v) in enumerate(order):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+                if check(adj, n, u, v):
+                    fired = t
+                    break
+            assert fired == first, (n, order)
+
+
+class TestGenericCheck:
+    """The anchored plan kernel behind check_generic against brute_embeds."""
+
+    @pytest.mark.parametrize("name,kind", [
+        ("C4", "biclique"), ("K2,3", "biclique"), ("3K2", "matching"),
+        ("K1,3", "star"), ("paw", "generic"),
+    ])
+    def test_dispatch(self, name, kind):
+        # the benchmark tracer names check kinds after these functions
+        assert _make_check(graph_from_name(name)).__name__ == "check_" + kind
+
+    @pytest.mark.parametrize("name,n_max", [
+        ("P4", 7), ("paw", 7), ("K3", 7), ("P3 u K2", 7), ("2K3", 6),
+    ])
+    def test_anchored_check_fires_first(self, name, n_max):
+        pat = graph_from_name(name)
+        check = _make_check(pat)
+        assert check.__name__ == "check_generic"
+        rng = random.Random(name)
+        for _ in range(20):
+            n = rng.randint(2, n_max)
+            order = lex_edges(n)
+            rng.shuffle(order)
+            first = next((t for t in range(len(order))
+                          if brute_embeds(pat, from_edges(n, order[:t + 1]))), None)
             adj = [0] * n
             fired = None
             for t, (u, v) in enumerate(order):

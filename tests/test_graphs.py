@@ -5,6 +5,7 @@ import pytest
 
 from ramsey.graphs import (
     Graph,
+    as_biclique,
     GraphError,
     canonical_form,
     components,
@@ -28,6 +29,7 @@ P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 C4 = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 PAW = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
 M2 = from_edges(4, [(0, 1), (2, 3)])
+STAR3 = from_edges(4, [(0, i) for i in range(1, 4)])
 STAR4 = from_edges(5, [(0, i) for i in range(1, 5)])
 
 
@@ -190,9 +192,28 @@ class TestEmbeds:
         rng = random.Random(97)
         pool = [random_graph(rng, rng.randint(0, 6)) for _ in range(12)]
         pool += [K3, C4, P4, M2, PAW]
+        # the degree pigeonhole alone rejects 3K2 in K5 u K1 (six vertices
+        # of degree >= 1 needed) and K1,3 in C4 u K1 (a degree-3 vertex)
+        k1 = from_edges(1, [])
+        k5 = from_edges(5, list(itertools.combinations(range(5), 2)))
+        pool += [from_edges(6, [(0, 1), (2, 3), (4, 5)]), disjoint_union(k5, k1),
+                 STAR3, disjoint_union(C4, k1)]
         for h in pool:
             for g in pool:
                 assert embeds(h, g) == brute_embeds(h, g), (h, g)
+
+
+class TestAsBiclique:
+    def test_agrees_with_isomorphism(self):
+        # every graph on up to 5 vertices against every K_{a,b} of its order
+        for n in range(6):
+            pairs = lex_edges(n)
+            ref = {(a, n - a): from_edges(n, [(i, a + j) for i in range(a) for j in range(n - a)])
+                   for a in range(1, n // 2 + 1)}
+            for bits in range(1 << len(pairs)):
+                g = from_edges(n, [e for k, e in enumerate(pairs) if (bits >> k) & 1])
+                want = next((ab for ab, kab in ref.items() if isomorphic(g, kab)), None)
+                assert as_biclique(g) == want, g
 
 
 class TestGraph6:
