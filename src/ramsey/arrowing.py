@@ -229,6 +229,14 @@ def _make_check(pat: Graph):
     holds when every edge of the class was checked as it was added.  The
     checks only look for copies that use (u, v), so on a class that
     already held pat they may answer False.
+
+    The generic check keeps one anchored plan per orbit of directed pattern
+    edges under pat's automorphisms.  If sigma is an automorphism, a copy
+    that maps sigma(e) onto (u, v) is sigma followed by a copy that maps e
+    onto (u, v), so the plan for e finds every copy the plan for sigma(e)
+    would.  A kept plan for e finds such a sigma when it embeds pat into
+    itself with e's ends on sigma(e)'s: an injective self-map that carries
+    edges to edges is an automorphism.
     """
     m = _as_matching(pat)
     if m is not None:
@@ -264,9 +272,15 @@ def _make_check(pat: Graph):
             return False
         return check_biclique
     # a new copy maps some pattern edge (a, b) onto (u, v), one way round or
-    # the other: one anchored plan per directed edge, run by the kernel the
-    # containment section of graphs.py describes
-    plans = [embed_plan(pat, (a, b)) for a in range(pat.n) for b in _bits(pat.adj[a])]
+    # the other: one anchored plan per directed edge orbit, run by the
+    # kernel the containment section of graphs.py describes
+    plans = []
+    rest = [0] * (pat.n - 2)
+    for a in range(pat.n):
+        for b in _bits(pat.adj[a]):
+            free = ((1 << pat.n) - 1) & ~((1 << a) | (1 << b))
+            if not any(extend_embedding(pat.adj, free, plan, [a, b] + rest, 2) for plan in plans):
+                plans.append(embed_plan(pat, (a, b)))
 
     def check_generic(adj, n, u, v, _plans=plans):
         du = adj[u].bit_count()
@@ -386,33 +400,35 @@ def _vertex0_prefixes(n: int, F: Graph, G: Graph) -> tuple[list[tuple[int, list[
 
     Coloring t is t red edges, then blue.  The DFS walks the red chain once,
     up to its first prune, then for each t it reached, t falling, tries
-    blue at edges t.. until a prune or the end of vertex 0's edges.
+    blue at edges t.. until a prune or the end of vertex 0's edges.  This
+    walk does the same, so it makes one check call per node it counts.
     """
     edges = lex_edges(n)
     red_check = _make_check(F)
     blue_check = _make_check(G)
-    out = []
     nodes = 0
-    for t in range(n - 1, -1, -1):
-        red = [0] * n
+    red = [0] * n
+    top = n - 1  # the most red edges a valid coloring can have
+    for k in range(n - 1):
+        u, v = edges[k]
+        nodes += 1
+        red[u] |= 1 << v
+        red[v] |= 1 << u
+        if red_check(red, n, u, v):
+            top = k
+            break
+    out = []
+    for t in range(top, -1, -1):
         blue = [0] * n
         ok = True
-        for k in range(n - 1):
+        for k in range(t, n - 1):
             u, v = edges[k]
-            if k >= t or t == n - 1:  # red edges count on the first pass only
-                nodes += 1
-            if k < t:
-                red[u] |= 1 << v
-                red[v] |= 1 << u
-                if red_check(red, n, u, v):
-                    ok = False
-                    break
-            else:
-                blue[u] |= 1 << v
-                blue[v] |= 1 << u
-                if blue_check(blue, n, u, v):
-                    ok = False
-                    break
+            nodes += 1
+            blue[u] |= 1 << v
+            blue[v] |= 1 << u
+            if blue_check(blue, n, u, v):
+                ok = False
+                break
         if ok:
             out.append((nodes, [1] * t + [0] * (n - 1 - t)))
             nodes = 0

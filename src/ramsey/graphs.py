@@ -197,12 +197,10 @@ def _refine_colors(g: Graph) -> list[int]:
     """Iterated degree refinement: vertices get dense colours such that any
     isomorphism preserves colours.  Stops once the partition is stable."""
     n, adj = g.n, g.adj
-    colors = [adj[v].bit_count() for v in range(n)]
+    nbrs = [list(_bits(row)) for row in adj]
+    colors = [len(nb) for nb in nbrs]
     for _ in range(n):
-        keys = []
-        for v in range(n):
-            nb = tuple(sorted(colors[u] for u in _bits(adj[v])))
-            keys.append((colors[v], nb))
+        keys = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
         new = [rank[k] for k in keys]
         if new == colors:
@@ -211,80 +209,125 @@ def _refine_colors(g: Graph) -> list[int]:
     return colors
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def canonical_form(g: Graph) -> Graph:
     """A fixed representative of g's isomorphism class.
 
     Vertices are first partitioned by iterated degree refinement; the result
     is the relabeling, among those that list each refinement cell in order of
     its colour, whose upper-triangle bit string (column-major, the graph6 bit
-    order) is lexicographically least.  Branch-and-bound on the partial bit
-    string keeps this fast for the sizes we enumerate (n <= ~12).
+    order) is lexicographically least.
+
+    A depth-first search places one vertex per position and prunes with the
+    partial bit string, in the manner of McKay's "Practical graph
+    isomorphism" (1981):
+    - least column: at position p only the candidates whose column (their
+      adjacency to the vertices placed so far) is least are tried, since any
+      other gives a greater string; that column is compared with the best
+      string's once per node;
+    - leaf automorphisms: a leaf whose string equals the best gives the
+      automorphism best_perm[i] -> placed[i], which is recorded; the search
+      then jumps back to the first position where the two labelings differ,
+      as the subtree it left is that automorphism's image of the best's;
+    - orbit pruning: a candidate that the recorded automorphisms fixing the
+      placed vertices map from a candidate already tried is skipped, and so
+      is a twin (same neighbours apart from each other) of one.
+    None of these changes which string is least, only how fast it is found.
     """
     n, adj = g.n, g.adj
     if n <= 1:
         return Graph(n, g.adj)
     colors = _refine_colors(g)
-    pos_color = sorted(colors)
-
-    placed = [0] * n
-    best_cols: list[int] | None = None
-    best_perm: list[int] | None = None
-    used = [0]  # bitmask of placed vertices
-
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(colors[v], []).append(v)
+    cell_at = [by_color[c] for c in sorted(colors)]
+    nbrs = [list(_bits(row)) for row in adj]
 
+    placed = [0] * n
     cols = [0] * n
+    # key[v] has bit n-1-i set iff v is adjacent to placed[i], so at
+    # position p it is v's column shifted left by n-p
+    key = [0] * n
+    best_cols: list[int] | None = None
+    best_perm: list[int] | None = None
+    autos: list[list[int]] = []
 
-    def dfs(p: int, eq: bool) -> bool:
+    def dfs(p: int, eq: bool, used: int) -> int:
+        """Search below the prefix placed[:p]; eq says its columns equal the
+        best's.  Returns the depth to resume at, n for no jump."""
         nonlocal best_cols, best_perm
         if p == n:
-            if best_cols is None or not eq:
+            if not eq:
                 best_cols = cols[:]
                 best_perm = placed[:]
-                return True
-            return False
-        improved = False
+                return n
+            gamma = [0] * n
+            for i in range(n):
+                gamma[best_perm[i]] = placed[i]
+            autos.append(gamma)
+            d = 0
+            while placed[d] == best_perm[d]:
+                d += 1
+            return d
+        cell = [v for v in cell_at[p] if not used >> v & 1]
+        least = min([key[v] for v in cell])
+        if eq:
+            bc = best_cols[p]
+            if least > bc:
+                return n
+            eq = least == bc
+        cols[p] = least
+        bit = 1 << (n - 1 - p)
         tried: list[int] = []
-        for v in by_color[pos_color[p]]:
-            bv = 1 << v
-            if used[0] & bv:
+        orbit: list[int] | None = None  # union-find over the stabiliser's orbits
+        seen = 0  # autos already merged into orbit
+        for v in cell:
+            if key[v] != least:
                 continue
-            # twins (same neighbourhood apart from each other) are swapped
-            # by an automorphism, so trying one of them suffices
+            bv = 1 << v
             if any((adj[u] & ~bv) == (adj[v] & ~(1 << u)) for u in tried):
                 continue
-            tried.append(v)
-            col = 0
-            av = adj[v]
-            for i in range(p):
-                col = (col << 1) | ((av >> placed[i]) & 1)
-            if eq and best_cols is not None:
-                bc = best_cols[p]
-                if col > bc:
+            if tried and seen < len(autos):
+                if orbit is None:
+                    orbit = list(range(n))
+                prefix = placed[:p]
+                for gamma in autos[seen:]:
+                    if all([gamma[x] == x for x in prefix]):
+                        for x in range(n):
+                            a, b = _find(orbit, x), _find(orbit, gamma[x])
+                            if a != b:
+                                orbit[a] = b
+                seen = len(autos)
+            if orbit is not None:
+                r = _find(orbit, v)
+                if any(_find(orbit, u) == r for u in tried):
                     continue
-                child_eq = col == bc
-            else:
-                child_eq = False
+            tried.append(v)
             placed[p] = v
-            used[0] |= bv
-            cols[p] = col
-            if dfs(p + 1, child_eq):
-                improved = True
-                eq = True  # path now equals the freshly installed best
-            used[0] &= ~bv
-        return improved
+            for w in nbrs[v]:
+                key[w] |= bit
+            back = dfs(p + 1, eq, used | bv)
+            for w in nbrs[v]:
+                key[w] ^= bit
+            if back < p:
+                return back
+            eq = True  # the prefix now equals the best's, installed or not
+        return n
 
-    dfs(0, True)
+    dfs(0, False, 0)
     assert best_perm is not None
-    new_adj = [0] * n
-    for p in range(n):
-        vp = best_perm[p]
-        for r in range(n):
-            if (adj[vp] >> best_perm[r]) & 1:
-                new_adj[p] |= 1 << r
-    return Graph(n, new_adj)
+    pos = [0] * n
+    for p, v in enumerate(best_perm):
+        pos[v] = p
+    return Graph(n, [sum([1 << pos[w] for w in nbrs[v]]) for v in best_perm])
 
 
 # ---------------------------------------------------------------------------

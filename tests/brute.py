@@ -2,7 +2,14 @@
 
 import itertools
 
-from ramsey.graphs import Graph, canonical_form, from_edges, graph6_encode, lex_edges
+from ramsey.graphs import (
+    Graph,
+    _refine_colors,
+    canonical_form,
+    from_edges,
+    graph6_encode,
+    lex_edges,
+)
 
 
 def brute_embeds(h: Graph, g: Graph) -> bool:
@@ -14,6 +21,23 @@ def brute_embeds(h: Graph, g: Graph) -> bool:
         if all(g.has_edge(image[a], image[b]) for a, b in hedges):
             return True
     return False
+
+
+def brute_canonical_form(g: Graph) -> Graph:
+    """Try every relabeling that lists the _refine_colors cells in colour
+    order; keep the one whose upper triangle, read column by column, is
+    least."""
+    colors = _refine_colors(g)
+    cells = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(cell) for cell in cells)):
+        perm = [v for part in parts for v in part]
+        bits = [g.has_edge(perm[i], perm[j]) for j in range(g.n) for i in range(j)]
+        if best is None or bits < best[0]:
+            best = (bits, perm)
+    perm = best[1]
+    return from_edges(g.n, [(i, j) for j in range(g.n) for i in range(j)
+                            if g.has_edge(perm[i], perm[j])])
 
 
 def brute_has_matching(g: Graph, m: int, avail: int | None = None) -> bool:

@@ -20,7 +20,9 @@ from ramsey.arrowing import (
     verify_coloring,
     _has_matching,
     _make_check,
+    _vertex0_prefixes,
 )
+from ramsey import arrowing
 from ramsey.families import graph_from_name
 from ramsey.graphs import from_edges, lex_edges
 
@@ -34,6 +36,7 @@ P4 = graph_from_name("P4")
 M2 = graph_from_name("2K2")
 K13 = graph_from_name("K1,3")
 K23 = graph_from_name("K2,3")
+BULL = from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
 
 
 class TestEdgeColoring:
@@ -159,6 +162,38 @@ class TestArrows:
         assert coloring_to_text(arrows(8, C4, m4).witness) == text
         assert coloring_to_text(arrows(8, C4, m4, jobs=2).witness) == text
 
+    def test_search_tree_pinned_generic(self):
+        # the same for a pattern that only the generic check handles; the
+        # n=7 witness is the one in perfbench/c4_2k3.witness
+        m3 = graph_from_name("2K3")
+        assert arrows(8, C4, m3).nodes == 98517
+        assert arrows(8, C4, m3, jobs=2).nodes == 98517
+        text = "n=7\nred=0-1,0-2,0-3,0-4,1-2,1-5,1-6,3-4,5-6\n"
+        assert coloring_to_text(arrows(7, C4, m3).witness) == text
+        assert coloring_to_text(arrows(7, C4, m3, jobs=2).witness) == text
+
+    @pytest.mark.parametrize("n,blue", [(9, "4K2"), (8, "2K3")])
+    def test_vertex0_prefixes_check_once_per_node(self, monkeypatch, n, blue):
+        calls = [0]
+        make_check = arrowing._make_check
+
+        def counting_make_check(pat):
+            check = make_check(pat)
+
+            def counted(*args):
+                calls[0] += 1
+                return check(*args)
+            return counted
+        monkeypatch.setattr(arrowing, "_make_check", counting_make_check)
+        prefixes, tail = _vertex0_prefixes(n, C4, graph_from_name(blue))
+        nodes = sum(lead for lead, _ in prefixes) + tail
+        assert calls[0] <= nodes
+        # a star holds neither C4 nor the blue pattern, so every coloring
+        # survives, each after its b blue nodes
+        assert prefixes == [(n - 1, [1] * (n - 1))] + [
+            (b, [1] * (n - 1 - b) + [0] * b) for b in range(1, n)]
+        assert tail == 0
+
     @pytest.mark.parametrize("red,blue,n", [
         ("C4", "K3", 6), ("C4", "K3", 7), ("C4", "4K2", 8), ("C4", "3K2", 7),
         ("C4", "2K3", 7), ("K3", "C4", 6), ("P4", "P3 u K2", 5), ("C4", "K1,3", 6),
@@ -231,9 +266,12 @@ class TestGenericCheck:
 
     @pytest.mark.parametrize("name,n_max", [
         ("P4", 7), ("paw", 7), ("K3", 7), ("P3 u K2", 7), ("2K3", 6),
+        ("K3 u K2", 6), ("bull", 6), ("C5", 6),
     ])
     def test_anchored_check_fires_first(self, name, n_max):
-        pat = graph_from_name(name)
+        # one plan per orbit of directed edges: one for K3, 2K3 and C5, two
+        # for K3 u K2, three for P4 and P3 u K2, five for paw and the bull
+        pat = BULL if name == "bull" else graph_from_name(name)
         check = _make_check(pat)
         assert check.__name__ == "check_generic"
         rng = random.Random(name)

@@ -6,9 +6,9 @@ from ramsey.graphs import canonical_form, graph6_encode, is_connected
 
 from brute import brute_graph_classes
 
-# counts verified against the brute-force oracle for q <= 4 (see below);
-# the q=5,6 values extend the same generation scheme
-EXPECTED_COUNTS = {1: 1, 2: 2, 3: 5, 4: 11, 5: 26, 6: 68}
+# graphs with q edges and no isolated vertices, OEIS A000664; q <= 4 is also
+# checked against the brute-force oracle below
+EXPECTED_COUNTS = {1: 1, 2: 2, 3: 5, 4: 11, 5: 26, 6: 68, 7: 177, 8: 497}
 
 
 @pytest.mark.parametrize("q,count", sorted(EXPECTED_COUNTS.items()))

@@ -20,7 +20,9 @@ from ramsey.graphs import (
     lex_edges,
 )
 
-from brute import brute_embeds
+from ramsey.families import graph_from_name
+
+from brute import brute_canonical_form, brute_embeds
 
 K3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
 K4 = from_edges(4, list(itertools.combinations(range(4), 2)))
@@ -164,6 +166,32 @@ class TestCanonicalForm:
         for _ in range(100):
             g = random_graph(rng, rng.randint(0, 7))
             assert isomorphic(canonical_form(g), g)
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 6), rng.choice([0.2, 0.4, 0.6, 0.8]))
+            assert canonical_form(g) == brute_canonical_form(g), g
+
+    # highly symmetric graphs, where the search lives on its automorphism
+    # pruning; the strings are the ones the unpruned search chose
+    @pytest.mark.parametrize("name,g6", [
+        ("8K2", "O?????@?_G@?C?G?G?C??"),
+        ("7K2", "M????CCA?_C?O?_??"),
+        ("4K3", "K?CX@D?OK?O@"),
+        ("3K4", "K@KyADB_C?oB"),
+        ("2K4 + 4K2", "O?CaC?????_B?F?G?CG@B"),
+        ("4C4", "O?????B?oW@_K?K?W?E??"),
+        ("5P3", "N????????@_WB?K?W??"),
+    ])
+    def test_symmetric_forms_pinned(self, name, g6):
+        g = graph_from_name(name)
+        assert graph6_encode(canonical_form(g)) == g6
+        rng = random.Random(name)
+        for _ in range(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert graph6_encode(canonical_form(relabeled(g, perm))) == g6
 
 
 class TestEmbeds:
