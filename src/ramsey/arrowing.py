@@ -25,12 +25,8 @@ from ramsey.graphs import (
     embed_plan,
     embeds,
     extend_embedding,
-    from_edges,
     lex_edges,
 )
-
-RED = "red"
-BLUE = "blue"
 
 _CHECK_MASK = 0xFFF  # budget clock checked every 4096 nodes
 
@@ -59,53 +55,37 @@ class Budget:
     max_seconds: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeColoring:
-    """Red/blue (possibly partial) assignment over the edges of K_n.
+    """Red/blue coloring of the edges of K_n, given by its red graph; every
+    other pair of vertices is blue."""
 
-    colors[k] corresponds to the k-th edge of K_n in lexicographic order
-    and is "red", "blue" or None (unset).
-    """
-
-    n: int
-    colors: tuple
-
-    def __post_init__(self):
-        m = self.n * (self.n - 1) // 2
-        if len(self.colors) != m:
-            raise ValueError(f"expected {m} edge colors for n={self.n}, got {len(self.colors)}")
-        for c in self.colors:
-            if c not in (RED, BLUE, None):
-                raise ValueError(f"bad edge color {c!r}")
+    red: Graph
 
     @classmethod
     def from_red(cls, n: int, red_edges) -> "EdgeColoring":
-        """Total coloring with the given edges red and everything else blue."""
-        # checked before lex_edges(n) allocates C(n, 2) pairs
+        """The coloring with the given edges red and everything else blue.
+
+        A pair listed twice, in either orientation, is one red edge.
+        """
         if not 0 <= n <= MAX_VERTICES:
             raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-        red = {(min(i, j), max(i, j)) for i, j in red_edges}
-        for i, j in red:
+        adj = [0] * n
+        for i, j in red_edges:
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise ValueError(f"red edge ({i},{j}) out of range for n={n}")
-        colors = tuple(RED if e in red else BLUE for e in lex_edges(n))
-        return cls(n, colors)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return cls(Graph(n, adj))
 
     @property
-    def is_total(self) -> bool:
-        return None not in self.colors
-
-    def red_edges(self) -> list[tuple[int, int]]:
-        return [e for e, c in zip(lex_edges(self.n), self.colors) if c == RED]
-
-    def blue_edges(self) -> list[tuple[int, int]]:
-        return [e for e, c in zip(lex_edges(self.n), self.colors) if c == BLUE]
-
-    def red_graph(self) -> Graph:
-        return from_edges(self.n, self.red_edges())
+    def n(self) -> int:
+        return self.red.n
 
     def blue_graph(self) -> Graph:
-        return from_edges(self.n, self.blue_edges())
+        """The complement of the red graph."""
+        full = (1 << self.n) - 1
+        return Graph(self.n, [full & ~row & ~(1 << v) for v, row in enumerate(self.red.adj)])
 
 
 @dataclass(frozen=True)
@@ -125,9 +105,7 @@ class ArrowingOutcome:
 def verify_coloring(c: EdgeColoring, F: Graph, G: Graph) -> bool:
     """Engine-independent check that c is a good coloring: no F in the red
     graph and no G in the blue graph."""
-    if not c.is_total:
-        raise ValueError("verify_coloring requires a total coloring")
-    return not embeds(F, c.red_graph()) and not embeds(G, c.blue_graph())
+    return not embeds(F, c.red) and not embeds(G, c.blue_graph())
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +113,7 @@ def verify_coloring(c: EdgeColoring, F: Graph, G: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 def coloring_to_text(c: EdgeColoring) -> str:
-    if not c.is_total:
-        raise ValueError("witness files hold total colorings only")
-    red = ",".join(f"{i}-{j}" for i, j in c.red_edges())
+    red = ",".join(f"{i}-{j}" for i, j in c.red.edges())
     return f"n={c.n}\nred={red}\n"
 
 
@@ -353,15 +329,15 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
         u, v = edges[k]
         ubit, vbit = 1 << u, 1 << v
         # symmetry break: vertex 0's edges are non-increasing (red then blue)
-        reds = (RED, BLUE) if (k == 0 or k >= n - 1 or col[k - 1] == 1) else (BLUE,)
-        for color in reds:
+        colors = (1, 0) if (k == 0 or k >= n - 1 or col[k - 1] == 1) else (0,)
+        for color in colors:
             nodes += 1
             if not nodes & _CHECK_MASK:
                 if max_nodes is not None and nodes > max_nodes:
                     bail()
                 if max_seconds is not None and time.monotonic() - t0 > max_seconds:
                     bail()
-            if color is RED:
+            if color:
                 red[u] |= vbit
                 red[v] |= ubit
                 if not red_check(red, n, u, v):
@@ -389,7 +365,12 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
 
 
 def _coloring_from_bits(n: int, col: list[int]) -> EdgeColoring:
-    return EdgeColoring(n, tuple(RED if c == 1 else BLUE for c in col))
+    red = [0] * n
+    for (u, v), c in zip(lex_edges(n), col):
+        if c:
+            red[u] |= 1 << v
+            red[v] |= 1 << u
+    return EdgeColoring(Graph(n, red))
 
 
 def _vertex0_prefixes(n: int, F: Graph, G: Graph) -> tuple[list[tuple[int, list[int]]], int]:
@@ -447,23 +428,10 @@ def _search_task(args):
         return ("budget", None, e.nodes)
 
 
-def find_good_coloring(n: int, F: Graph, G: Graph,
-                       budget: Optional[Budget] = None,
-                       jobs: int = 1) -> Optional[EdgeColoring]:
-    """A total coloring of K_n with no red F and no blue G, or None when the
-    exhausted search space proves none exists.
-
-    Raises BudgetExceededError when the budget runs out first; that outcome
-    is never silently coerced to "none exists".  Identical inputs return the
-    identical coloring regardless of jobs.
-    """
-    outcome = _run_search(n, F, G, budget, jobs)
-    return outcome[0]
-
-
 def _run_search(n, F, G, budget, jobs):
-    if n > 32:
-        raise GraphError(f"order {n} exceeds cap 32")
+    """(witness or None, nodes, seconds) for K_n against (F, G)."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"order {n} outside 0..{MAX_VERTICES}")
     t0 = time.monotonic()
     # a pattern with no edges occurs in its color class iff it fits at all;
     # no coloring can avoid it
@@ -512,7 +480,13 @@ def _run_search(n, F, G, budget, jobs):
 
 def arrows(n: int, F: Graph, G: Graph, budget: Optional[Budget] = None,
            jobs: int = 1) -> ArrowingOutcome:
-    """Decide K_n -> (F, G): every 2-coloring has a red F or a blue G."""
+    """Decide K_n -> (F, G): every 2-coloring has a red F or a blue G.
+
+    When it does not, the witness is the first good coloring the sequential
+    DFS reaches, so identical inputs give the identical witness and node
+    count for any jobs.  Raises BudgetExceededError when the budget runs out
+    first; that outcome is never silently coerced to either answer.
+    """
     witness, nodes, secs = _run_search(n, F, G, budget, jobs)
     return ArrowingOutcome(witness is None, witness, nodes, secs)
 
@@ -530,22 +504,13 @@ def ramsey_number(F: Graph, G: Graph, n_max: int = 32,
     return r
 
 
-_ramsey_cache: dict[tuple[int, tuple, int, tuple], int] = {}
-
-
 def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
                                budget: Optional[Budget] = None, jobs: int = 1,
                                lower_bound: Optional[int] = None):
     """(r, witness at r-1).  The witness is None only when r-1 admits no
     coloring at all (r <= 1)."""
-    if n_max > 32:
-        raise GraphError("n_max exceeds cap 32")
-    key = (F.n, F.adj, G.n, G.adj)
-    cached = _ramsey_cache.get(key)
-    if cached is not None and cached <= n_max:
-        r = cached
-        witness = find_good_coloring(r - 1, F, G, budget=budget, jobs=jobs) if r > 1 else None
-        return r, witness
+    if n_max > MAX_VERTICES:
+        raise GraphError(f"n_max exceeds cap {MAX_VERTICES}")
     start = 1
     if F.q > 0 and G.q > 0:
         start = max(F.n, G.n)
@@ -553,11 +518,10 @@ def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
         start = max(start, lower_bound)
     witness = None
     for n in range(start, n_max + 1):
-        got = find_good_coloring(n, F, G, budget=budget, jobs=jobs)
+        got = _run_search(n, F, G, budget, jobs)[0]
         if got is None:
-            _ramsey_cache[key] = n
             if witness is None and n > 1:
-                witness = find_good_coloring(n - 1, F, G, budget=budget, jobs=jobs)
+                witness = _run_search(n - 1, F, G, budget, jobs)[0]
             return n, witness
         witness = got
     raise SearchCapError(f"r(F,G) > {n_max}; raise n_max")

@@ -8,7 +8,6 @@ coloring below it), so equality cases are classified, not just bounded.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -87,6 +86,14 @@ class BoundReport:
             "equality": self.equality,
             "runtime": round(self.runtime, 3),
         }
+
+    @classmethod
+    def from_json(cls, row: dict) -> "BoundReport":
+        """Inverse of to_json (runtime as rounded there)."""
+        return cls(
+            g6=row["graph"]["g6"], name=row["graph"]["name"], p=row["p"],
+            q=row["q"], k=row["k"], exact=row["exact"], bound=row["bound"],
+            slack=row["slack"], equality=row["equality"], runtime=row["runtime"])
 
 
 @dataclass
@@ -243,9 +250,15 @@ def check_cited_inequalities(q_max: int = 4, budget: Optional[Budget] = None,
         raise ValueError("cited-inequality checks are desk-scale: q_max <= 5")
     C4 = _biclique(2)
     out: list[InequalityCheck] = []
+    # the checks ask for most values several times; key on the class
+    known: dict[str, int] = {}
 
     def r_of(g: Graph) -> int:
-        return ramsey_number(C4, g, n_max=2 * max(g.q, 2) + 3, budget=budget, jobs=jobs)
+        key = graph6_encode(canonical_form(g))
+        if key not in known:
+            known[key] = ramsey_number(C4, g, n_max=2 * max(g.q, 2) + 3,
+                                       budget=budget, jobs=jobs)
+        return known[key]
 
     for n in range(4, q_max + 2):
         path = realize(FamilySpec("path", (n,)))
@@ -281,10 +294,3 @@ def check_cited_inequalities(q_max: int = 4, budget: Optional[Budget] = None,
                 f"r(C4,{describe(tree)}) <= max(4, {q + 2}, r(C4,K1,{q}))",
                 lhs, bound, lhs <= bound))
     return out
-
-
-def write_reports_jsonl(result: SweepResult, fp) -> None:
-    """JSON lines: one BoundReport per line, then a summary footer."""
-    for r in result.reports:
-        fp.write(json.dumps(r.to_json()) + "\n")
-    fp.write(json.dumps(result.summary_json()) + "\n")

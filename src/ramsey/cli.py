@@ -22,11 +22,10 @@ from ramsey.arrowing import (
     arrows,
     coloring_from_text,
     coloring_to_text,
-    find_good_coloring,
     ramsey_number_with_witness,
     verify_coloring,
 )
-from ramsey.bounds import SweepViolationError, sweep, write_reports_jsonl
+from ramsey.bounds import BoundReport, SweepViolationError, sweep
 from ramsey.enumeration import EnumFilter, enumerate_graphs
 from ramsey.families import NameParseError, graph_from_name
 from ramsey.graphs import GraphError, graph6_encode
@@ -51,6 +50,13 @@ def _budget_from(args) -> Optional[Budget]:
     return Budget(max_seconds=secs) if secs is not None else None
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9,]+", "_", name).strip("_")
 
@@ -64,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--budget", type=float, default=None,
                        help=f"time budget in seconds (default: ${BUDGET_ENV} or unlimited)")
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for search-tree partitioning")
 
     p = sub.add_parser("ramsey", help="compute r(F,G) and write the (r-1)-witness")
@@ -135,17 +141,32 @@ def _cmd_arrows(args) -> int:
     return EXIT_OK
 
 
+def _resumed_reports(path: str, theorem: str) -> list[BoundReport]:
+    """The report rows of earlier runs of the same sweep in a --json file."""
+    reports = []
+    with open(path) as fp:
+        for line in fp:
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            try:
+                if "summary" in row:
+                    if row["summary"]["theorem"] != theorem:
+                        raise ValueError(f"{path} holds a {row['summary']['theorem']} sweep, "
+                                         f"not {theorem}")
+                elif "graph" in row:
+                    reports.append(BoundReport.from_json(row))
+            except (KeyError, TypeError) as e:
+                raise ValueError(f"bad report line in {path}: {line.strip()}") from e
+    return reports
+
+
 def _cmd_verify(args) -> int:
-    skip = set()
+    prior = []
     if args.resume and args.json and os.path.exists(args.json):
-        with open(args.json) as fp:
-            for line in fp:
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if "graph" in row:
-                    skip.add(row["graph"]["g6"])
+        prior = _resumed_reports(args.json, args.theorem)
+    skip = {r.g6 for r in prior}
     sink = open(args.json, "a" if args.resume else "w") if args.json else None
 
     def emit(report):
@@ -165,6 +186,8 @@ def _cmd_verify(args) -> int:
     finally:
         if sink:
             sink.close()
+    # the footer summarises every row in the file, resumed ones included
+    result.reports[:0] = prior
     footer = json.dumps(result.summary_json())
     print(footer)
     if args.json:

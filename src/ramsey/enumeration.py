@@ -5,8 +5,9 @@ Classes with q edges are grown from the (q-1)-edge classes: add an edge
 between existing vertices, hang an edge on a new vertex, or drop in a new
 disjoint edge.  Every isolate-free q-edge graph arises this way (remove any
 edge and discard the exposed isolates), so canonical dedup makes the list
-complete.  q = 8 (497 classes from 8,252 canonical forms) takes about 1.4 s
-on a 2-CPU Intel Xeon with Python 3.11.
+complete.  A vertex cap filters the finished level, and nothing is cached
+between calls.  q = 8 (497 classes from 8,252 canonical forms) takes about
+1.4 s on a 2-CPU Intel Xeon with Python 3.11.
 """
 
 from __future__ import annotations
@@ -52,49 +53,39 @@ class EnumFilter:
         return min(2 * self.q, MAX_VERTICES)
 
 
-_level_cache: dict[tuple[int, int], list[Graph]] = {}
-
-
-def _isolate_free_classes(q: int, cap: int) -> list[Graph]:
+def _isolate_free_classes(q: int) -> list[Graph]:
     """Canonical representatives of all isolate-free graphs with exactly q
-    edges and at most cap vertices, sorted by (n, graph6)."""
-    key = (q, cap)
-    got = _level_cache.get(key)
-    if got is not None:
-        return got
+    edges, sorted by (n, graph6)."""
     if q == 1:
-        result = [canonical_form(from_edges(2, [(0, 1)]))]
-    else:
-        seen: dict[str, Graph] = {}
-        for h in _isolate_free_classes(q - 1, cap):
-            n = h.n
-            grown: list[Graph] = []
+        return [canonical_form(from_edges(2, [(0, 1)]))]
+    seen: dict[str, Graph] = {}
+    for h in _isolate_free_classes(q - 1):
+        n = h.n
+        grown: list[Graph] = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not h.has_edge(i, j):
+                    grown.append(from_edges(n, h.edges() + [(i, j)]))
+        if n + 1 <= MAX_VERTICES:
             for i in range(n):
-                for j in range(i + 1, n):
-                    if not h.has_edge(i, j):
-                        grown.append(from_edges(n, h.edges() + [(i, j)]))
-            if n + 1 <= cap:
-                for i in range(n):
-                    grown.append(from_edges(n + 1, h.edges() + [(i, n)]))
-            if n + 2 <= cap:
-                grown.append(from_edges(n + 2, h.edges() + [(n, n + 1)]))
-            for g in grown:
-                cf = canonical_form(g)
-                seen.setdefault(graph6_encode(cf), cf)
-        result = sorted(seen.values(), key=lambda g: (g.n, graph6_encode(g)))
-    _level_cache[key] = result
-    return result
+                grown.append(from_edges(n + 1, h.edges() + [(i, n)]))
+        if n + 2 <= MAX_VERTICES:
+            grown.append(from_edges(n + 2, h.edges() + [(n, n + 1)]))
+        for g in grown:
+            cf = canonical_form(g)
+            seen.setdefault(graph6_encode(cf), cf)
+    return sorted(seen.values(), key=lambda g: (g.n, graph6_encode(g)))
 
 
 def enumerate_graphs(f: EnumFilter) -> list[Graph]:
     """One canonical representative per isomorphism class matching the
     filter, sorted by (n, canonical graph6 string)."""
     cap = f.effective_cap()
-    base = _isolate_free_classes(f.q, cap)
+    base = [g for g in _isolate_free_classes(f.q) if g.n <= cap]
     if f.require_connected:
         base = [g for g in base if is_connected(g)]
     if f.require_isolate_free:
-        return list(base)
+        return base
     # pad with isolated vertices up to the cap; each pad count is its own
     # isomorphism class
     out: list[Graph] = []

@@ -4,8 +4,6 @@ import random
 import pytest
 
 from ramsey.arrowing import (
-    BLUE,
-    RED,
     Budget,
     BudgetExceededError,
     EdgeColoring,
@@ -13,7 +11,6 @@ from ramsey.arrowing import (
     arrows,
     coloring_from_text,
     coloring_to_text,
-    find_good_coloring,
     ramsey_number,
     ramsey_number_with_witness,
     star_witness,
@@ -42,24 +39,17 @@ BULL = from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
 class TestEdgeColoring:
     def test_from_red_total(self):
         c = EdgeColoring.from_red(3, [(0, 1)])
-        assert c.is_total
-        assert c.red_edges() == [(0, 1)]
-        assert c.blue_edges() == [(0, 2), (1, 2)]
+        assert c.red.edges() == [(0, 1)]
+        assert c.blue_graph().edges() == [(0, 2), (1, 2)]
+        # a pair listed twice, either way round, is one red edge
+        assert EdgeColoring.from_red(3, [(0, 1), (1, 0), (0, 1)]) == c
 
     def test_red_blue_graphs_partition(self):
         c = EdgeColoring.from_red(5, [(0, 1), (2, 3), (1, 4)])
-        R, B = c.red_graph(), c.blue_graph()
+        R, B = c.red, c.blue_graph()
         assert R.q + B.q == 10
         for i, j in lex_edges(5):
             assert R.has_edge(i, j) != B.has_edge(i, j)
-
-    def test_partial_coloring(self):
-        c = EdgeColoring(3, (RED, None, BLUE))
-        assert not c.is_total
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            EdgeColoring(4, (RED, BLUE))
 
 
 class TestVerifyColoring:
@@ -76,10 +66,6 @@ class TestVerifyColoring:
         c = EdgeColoring.from_red(3, lex_edges(3))
         assert verify_coloring(c, C4, K3) is True
 
-    def test_rejects_partial(self):
-        with pytest.raises(ValueError):
-            verify_coloring(EdgeColoring(3, (RED, None, BLUE)), C4, K3)
-
 
 class TestStarWitness:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
@@ -91,7 +77,7 @@ class TestStarWitness:
 
     def test_red_graph_is_spanning_star(self):
         w = star_witness(3)
-        assert sorted(w.red_graph().degrees()) == [1] * 5 + [5]
+        assert sorted(w.red.degrees()) == [1] * 5 + [5]
 
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
@@ -99,30 +85,31 @@ class TestStarWitness:
 
 
 class TestFindGoodColoring:
+    """Good colorings, as the witness arrows returns."""
+
     def test_found_below_threshold(self):
-        c = find_good_coloring(6, C4, K3)
+        c = arrows(6, C4, K3).witness
         assert c is not None
         assert verify_coloring(c, C4, K3)
 
     def test_absent_at_threshold(self):
-        assert find_good_coloring(7, C4, K3) is None
+        assert arrows(7, C4, K3).witness is None
 
     def test_absent_small(self):
-        assert find_good_coloring(4, C4, P3) is None
+        assert arrows(4, C4, P3).witness is None
 
     def test_budget_is_a_distinct_outcome(self):
         with pytest.raises(BudgetExceededError):
-            find_good_coloring(9, C4, graph_from_name("4K2"),
-                               budget=Budget(max_nodes=50))
+            arrows(9, C4, graph_from_name("4K2"), budget=Budget(max_nodes=50))
 
     def test_deterministic_witness(self):
-        a = find_good_coloring(6, C4, K3)
-        b = find_good_coloring(6, C4, K3)
+        a = arrows(6, C4, K3).witness
+        b = arrows(6, C4, K3).witness
         assert a == b
 
     def test_jobs_do_not_change_result(self):
-        seq = find_good_coloring(7, C4, graph_from_name("3K2"))
-        par = find_good_coloring(7, C4, graph_from_name("3K2"), jobs=2)
+        seq = arrows(7, C4, graph_from_name("3K2")).witness
+        par = arrows(7, C4, graph_from_name("3K2"), jobs=2).witness
         assert seq == par
         assert arrows(7, C4, K3, jobs=2).arrows
 
@@ -301,12 +288,12 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_small_orders(self, n):
         for F, G in self.PAIRS:
-            got = find_good_coloring(n, F, G) is not None
+            got = arrows(n, F, G).witness is not None
             assert got == brute_good_coloring_exists(n, F, G), (F, G, n)
 
     def test_n5_spot(self):
         for F, G in [(C4, M2), (K3, P3), (C4, K3)]:
-            got = find_good_coloring(5, F, G) is not None
+            got = arrows(5, F, G).witness is not None
             assert got == brute_good_coloring_exists(5, F, G), (F, G)
 
 

@@ -1,4 +1,4 @@
-from ramsey.bounds import sweep
+from ramsey.bounds import check_cited_inequalities, sweep
 
 
 def test_t1_holds_with_the_papers_equality_cases():
@@ -14,3 +14,15 @@ def test_t2_equality_at_triangle():
     result = sweep("t2", q_max=3)
     assert result.ok
     assert "K3" in result.equality_set
+
+
+def test_cited_inequalities_hold():
+    checks = check_cited_inequalities(q_max=4)
+    assert len(checks) == 22
+    assert [c.label for c in checks if not c.holds] == []
+    # chain, then unions, then trees; the first is r(C4, P4) <= r(C4, C4)
+    assert [(c.lhs, c.rhs) for c in checks] == [
+        (5, 6), (6, 6), (6, 7), (7, 7),
+        (5, 7), (6, 7), (7, 8), (7, 10), (7, 9), (7, 8), (8, 9), (9, 10),
+        (7, 7), (8, 8), (9, 9),
+        (4, 4), (4, 4), (6, 6), (5, 6), (7, 7), (6, 7), (6, 7)]

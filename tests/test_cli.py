@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from ramsey.cli import EXIT_VIOLATION, main
+from ramsey.cli import EXIT_USAGE, EXIT_VIOLATION, main
 
 
 @pytest.mark.parametrize("n", [33, 100000])
@@ -10,3 +12,58 @@ def test_witness_check_rejects_oversized_order(tmp_path, capsys, n):
     code = main(["witness-check", "--file", str(path), "--red", "C4", "--blue", "K3"])
     assert code == EXIT_VIOLATION
     assert capsys.readouterr().out.startswith("INVALID")
+
+
+@pytest.mark.parametrize("n", [-1, 33])
+def test_arrows_rejects_bad_order(tmp_path, capsys, n):
+    path = tmp_path / "w.witness"
+    code = main(["arrows", "--n", str(n), "--red", "C4", "--blue", "K3",
+                 "--witness", str(path)])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"order {n} outside" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["arrows", "--n", "5", "--red", "C4", "--blue", "K3"],
+    ["ramsey", "--red", "C4", "--blue", "K3"],
+    ["verify", "--theorem", "t1", "--q-max", "2"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_rejects_jobs_below_one(capsys, command, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--jobs", jobs])
+    assert exc.value.code == EXIT_USAGE
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_resume_footer_counts_every_row(tmp_path, capsys):
+    path = tmp_path / "t1.jsonl"
+    assert main(["verify", "--theorem", "t1", "--q-max", "2", "--json", str(path)]) == 0
+    assert main(["verify", "--theorem", "t1", "--q-max", "3", "--json", str(path),
+                 "--resume"]) == 0
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    names = [row["graph"]["name"] for row in rows if "graph" in row]
+    assert sorted(names) == sorted(["P3", "2K2", "K3", "K1,3", "P4", "K2 u P3", "3K2"])
+    footer = rows[-1]["summary"]
+    assert footer["graphs"] == 7
+    assert footer["equality"] == ["2K2", "K3", "3K2"]
+    assert footer["max_slack"] == 2
+    # stdout ends with the same footer
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == rows[-1]
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"graph": {"g6": "BW"}}\n', "bad report line"),
+    ('{"summary": {"graphs": 0}}\n', "bad report line"),
+    ('{"summary": {"theorem": "t2", "graphs": 0}}\n', "holds a t2 sweep"),
+])
+def test_resume_rejects_a_foreign_file(tmp_path, capsys, text, message):
+    path = tmp_path / "t1.jsonl"
+    path.write_text(text)
+    code = main(["verify", "--theorem", "t1", "--q-max", "2", "--json", str(path), "--resume"])
+    assert code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert path.read_text() == text

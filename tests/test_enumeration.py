@@ -2,7 +2,7 @@ import pytest
 
 from ramsey.enumeration import EnumFilter, enumerate_graphs, isolate_free_graphs
 from ramsey.families import describe, graph_from_name
-from ramsey.graphs import canonical_form, graph6_encode, is_connected
+from ramsey.graphs import canonical_form, graph6_decode, graph6_encode, is_connected
 
 from brute import brute_graph_classes
 
@@ -31,10 +31,16 @@ def test_q1_connected():
     assert [describe(g) for g in gs] == ["K2"]
 
 
+@pytest.fixture(scope="module")
+def brute_classes():
+    """brute_graph_classes(q) for q <= 4, computed once for the module."""
+    return {q: brute_graph_classes(q) for q in range(1, 5)}
+
+
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
-def test_completeness_against_brute_force(q):
+def test_completeness_against_brute_force(q, brute_classes):
     got = {graph6_encode(g) for g in isolate_free_graphs(q)}
-    assert got == brute_graph_classes(q)
+    assert got == brute_classes[q]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
@@ -76,10 +82,15 @@ def test_allow_isolated_pads_classes():
     assert [describe(g) for g in gs] == ["K2", "K1 u K2", "2K1 u K2"]
 
 
-def test_max_vertices_cap():
+def test_max_vertices_cap(brute_classes):
     gs = enumerate_graphs(EnumFilter(q=3, max_vertices=4))
     # 3K2 (6 vertices) and K2 u P3 (5) are cut off
     assert {describe(g) for g in gs} == {"K3", "K1,3", "P4"}
+    for q, every in brute_classes.items():
+        for cap in range(2, 2 * q + 1):
+            got = [graph6_encode(g) for g in enumerate_graphs(EnumFilter(q=q, max_vertices=cap))]
+            assert len(got) == len(set(got))
+            assert set(got) == {s for s in every if graph6_decode(s).n <= cap}, (q, cap)
 
 
 def test_rejects_bad_filters():
