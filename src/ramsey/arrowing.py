@@ -7,6 +7,28 @@ pattern that use the newest edge can have appeared, so an anchored
 containment check at that edge keeps the search tree sound and complete.
 A coloring that survives all assignments ("good coloring") witnesses
 n < r(F, G); if the symmetry-reduced tree is exhausted, K_n arrows (F, G).
+
+Two symmetry breaks cut isomorphic colorings from the tree.  Read the red
+adjacency matrix row by row over its upper triangle (the lexicographic
+edge order), red above blue, column 0 first.  Every coloring has a
+lex-greatest relabelling, and it passes both:
+
+- vertex 0's edges are red, then blue: its row 0 is 1^d 0^(n-1-d), d the
+  largest red degree;
+- lex-leader rows (Codish, Miller, Prosser & Stuckey, "Constraints for
+  symmetry breaking in graph representation", Constraints 2019): for
+  i < u, red row i >= red row u in lex order on the columns other than i
+  and u.  Were row u greater, first at column c, swapping i and u would
+  raise the matrix at row min(i, c) and leave the rows before it alone.
+
+The lex-leader test runs after edge (u, v) turns red and compares row u
+with each row i < u on columns 0..v; row i is complete by then.  A blue
+edge only lowers row u, so blue assignments are not tested, and block 0
+(u = 0) has no earlier row, so the vertex-0 prefixes that --jobs hands
+out are never lex-pruned.  Both breaks keep the lex-greatest relabelling
+of every good coloring, so the reduced tree holds a good coloring iff one
+exists.  The DFS meets colorings in falling lex order, so the first it
+finds is the lex-greatest good coloring, with or without the breaks.
 """
 
 from __future__ import annotations
@@ -275,13 +297,34 @@ def _make_check(pat: Graph):
 # the search proper
 # ---------------------------------------------------------------------------
 
+def _lex_violated(red: list[int], u: int, v: int) -> bool:
+    """True iff red row u, just given its edge (u, v), exceeds some earlier
+    row i < u in lex order on columns 0..v, columns i and u left out.
+
+    Column 0 is the most significant, so the lowest column where rows i
+    and u differ decides.  Row i is complete and row u is set on columns
+    0..v, so every completion keeps the violation.
+    """
+    ru = red[u]
+    seen = ((2 << v) - 1) & ~(1 << u)
+    for i in range(u):
+        d = (red[i] ^ ru) & seen & ~(1 << i)
+        if ru & d & -d:
+            return True
+    return False
+
+
 def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
             prefix: Optional[list[int]] = None):
     """DFS for a good coloring of K_n.
 
+    Both symmetry breaks of the module docstring apply: vertex 0's edges
+    go red then blue, and a red edge (u, v) is pruned when row u then
+    exceeds an earlier row (_lex_violated; never for u = 0).
+
     prefix, when given, fixes the colors (1=red, 0=blue) of the first
-    len(prefix) lexicographic edges; the vertex-0 symmetry break is only
-    applied to edges the DFS assigns itself.  The prefix edges are not
+    len(prefix) lexicographic edges; the symmetry breaks are only applied
+    to edges the DFS assigns itself.  The prefix edges are not
     checked here, and the anchored checks of later edges assume neither
     color class of the prefix holds its pattern, so prefixes must come
     from _vertex0_prefixes, which checks each edge as it adds it.
@@ -340,7 +383,7 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
             if color:
                 red[u] |= vbit
                 red[v] |= ubit
-                if not red_check(red, n, u, v):
+                if not (_lex_violated(red, u, v) or red_check(red, n, u, v)):
                     col[k] = 1
                     if dfs(k + 1):
                         return True

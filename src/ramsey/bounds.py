@@ -63,6 +63,7 @@ class BoundReport:
     """One row of a sweep: a graph, its exact Ramsey number against the
     theorem's fixed pattern, and the bound."""
 
+    theorem: str
     g6: str
     name: str
     p: int
@@ -76,6 +77,7 @@ class BoundReport:
 
     def to_json(self) -> dict:
         return {
+            "theorem": self.theorem,
             "graph": {"g6": self.g6, "name": self.name},
             "p": self.p,
             "q": self.q,
@@ -91,8 +93,8 @@ class BoundReport:
     def from_json(cls, row: dict) -> "BoundReport":
         """Inverse of to_json (runtime as rounded there)."""
         return cls(
-            g6=row["graph"]["g6"], name=row["graph"]["name"], p=row["p"],
-            q=row["q"], k=row["k"], exact=row["exact"], bound=row["bound"],
+            theorem=row["theorem"], g6=row["graph"]["g6"], name=row["graph"]["name"],
+            p=row["p"], q=row["q"], k=row["k"], exact=row["exact"], bound=row["bound"],
             slack=row["slack"], equality=row["equality"], runtime=row["runtime"])
 
 
@@ -214,7 +216,7 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
                 result.incomplete.append((g6, "budget exceeded"))
                 continue
             report = BoundReport(
-                g6=g6, name=describe(g), p=p, q=q, k=k, exact=exact,
+                theorem=theorem, g6=g6, name=describe(g), p=p, q=q, k=k, exact=exact,
                 bound=bound, slack=bound - exact, equality=bound == exact,
                 runtime=time.perf_counter() - t0)
             result.reports.append(report)

@@ -25,7 +25,7 @@ from ramsey.arrowing import (
     ramsey_number_with_witness,
     verify_coloring,
 )
-from ramsey.bounds import BoundReport, SweepViolationError, sweep
+from ramsey.bounds import DEFAULT_K, BoundReport, SweepViolationError, sweep
 from ramsey.enumeration import EnumFilter, enumerate_graphs
 from ramsey.families import NameParseError, graph_from_name
 from ramsey.graphs import GraphError, graph6_encode
@@ -141,8 +141,12 @@ def _cmd_arrows(args) -> int:
     return EXIT_OK
 
 
-def _resumed_reports(path: str, theorem: str) -> list[BoundReport]:
-    """The report rows of earlier runs of the same sweep in a --json file."""
+def _resumed_reports(path: str, theorem: str, k: int) -> list[BoundReport]:
+    """The report rows of earlier runs of the same sweep in a --json file.
+
+    Every row names its theorem and k, so a file cut before its footer
+    still cannot resume a different sweep.
+    """
     reports = []
     with open(path) as fp:
         for line in fp:
@@ -152,20 +156,28 @@ def _resumed_reports(path: str, theorem: str) -> list[BoundReport]:
                 continue
             try:
                 if "summary" in row:
-                    if row["summary"]["theorem"] != theorem:
-                        raise ValueError(f"{path} holds a {row['summary']['theorem']} sweep, "
-                                         f"not {theorem}")
+                    found, report = row["summary"]["theorem"], None
                 elif "graph" in row:
-                    reports.append(BoundReport.from_json(row))
+                    report = BoundReport.from_json(row)
+                    found = report.theorem
+                else:
+                    continue
             except (KeyError, TypeError) as e:
                 raise ValueError(f"bad report line in {path}: {line.strip()}") from e
+            if found != theorem:
+                raise ValueError(f"{path} holds a {found} sweep, not {theorem}")
+            if report is not None:
+                if report.k != k:
+                    raise ValueError(f"{path} holds a k={report.k} sweep, not k={k}")
+                reports.append(report)
     return reports
 
 
 def _cmd_verify(args) -> int:
+    k = DEFAULT_K[args.theorem] if args.k is None else args.k
     prior = []
     if args.resume and args.json and os.path.exists(args.json):
-        prior = _resumed_reports(args.json, args.theorem)
+        prior = _resumed_reports(args.json, args.theorem, k)
     skip = {r.g6 for r in prior}
     sink = open(args.json, "a" if args.resume else "w") if args.json else None
 
@@ -177,7 +189,7 @@ def _cmd_verify(args) -> int:
             sink.flush()
 
     try:
-        result = sweep(args.theorem, q_max=args.q_max, k=args.k,
+        result = sweep(args.theorem, q_max=args.q_max, k=k,
                        budget=_budget_from(args), jobs=args.jobs, on_report=emit,
                        skip=skip or None)
     except SweepViolationError as e:

@@ -7,6 +7,7 @@ from ramsey.graphs import (
     _refine_colors,
     canonical_form,
     from_edges,
+    graph6_decode,
     graph6_encode,
     lex_edges,
 )
@@ -70,6 +71,22 @@ def brute_good_coloring_exists(n: int, F: Graph, G: Graph) -> bool:
         if not brute_embeds(F, R) and not brute_embeds(G, B):
             return True
     return False
+
+
+def brute_graphs(n: int) -> list[Graph]:
+    """Every graph on n vertices up to isomorphism: each graph on one vertex
+    fewer, joined to a new vertex by every subset, repeats removed by
+    canonical graph6 key."""
+    level = {graph6_encode(from_edges(0, []))}
+    for m in range(1, n + 1):
+        grown = set()
+        for key in level:
+            g = graph6_decode(key)
+            for nbrs in range(1 << (m - 1)):
+                h = from_edges(m, g.edges() + [(v, m - 1) for v in range(m - 1) if nbrs >> v & 1])
+                grown.add(graph6_encode(canonical_form(h)))
+        level = grown
+    return [graph6_decode(key) for key in sorted(level)]
 
 
 def brute_graph_classes(q: int) -> set[str]:

@@ -21,9 +21,10 @@ from ramsey.arrowing import (
 )
 from ramsey import arrowing
 from ramsey.families import graph_from_name
-from ramsey.graphs import from_edges, lex_edges
+from ramsey.enumeration import isolate_free_graphs
+from ramsey.graphs import embeds, from_edges, lex_edges
 
-from brute import brute_embeds, brute_good_coloring_exists, brute_has_matching
+from brute import brute_embeds, brute_good_coloring_exists, brute_graphs, brute_has_matching
 
 C4 = graph_from_name("C4")
 K2 = graph_from_name("K2")
@@ -141,10 +142,11 @@ class TestArrows:
             prev = cur
 
     def test_search_tree_pinned(self):
-        # the node count and the witness move if a check prunes differently
+        # the node count and the witness move if a check or the lex-leader
+        # rule prunes differently
         m4 = graph_from_name("4K2")
-        assert arrows(9, C4, m4).nodes == 113494
-        assert arrows(9, C4, m4, jobs=2).nodes == 113494
+        assert arrows(9, C4, m4).nodes == 13648
+        assert arrows(9, C4, m4, jobs=2).nodes == 13648
         text = "n=8\nred=0-1,0-2,0-3,0-4,0-5,0-6,0-7,1-2,3-4,5-6\n"
         assert coloring_to_text(arrows(8, C4, m4).witness) == text
         assert coloring_to_text(arrows(8, C4, m4, jobs=2).witness) == text
@@ -153,8 +155,8 @@ class TestArrows:
         # the same for a pattern that only the generic check handles; the
         # n=7 witness is the one in perfbench/c4_2k3.witness
         m3 = graph_from_name("2K3")
-        assert arrows(8, C4, m3).nodes == 98517
-        assert arrows(8, C4, m3, jobs=2).nodes == 98517
+        assert arrows(8, C4, m3).nodes == 11633
+        assert arrows(8, C4, m3, jobs=2).nodes == 11633
         text = "n=7\nred=0-1,0-2,0-3,0-4,1-2,1-5,1-6,3-4,5-6\n"
         assert coloring_to_text(arrows(7, C4, m3).witness) == text
         assert coloring_to_text(arrows(7, C4, m3, jobs=2).witness) == text
@@ -295,6 +297,54 @@ class TestOracleEquivalence:
         for F, G in [(C4, M2), (K3, P3), (C4, K3)]:
             got = arrows(5, F, G).witness is not None
             assert got == brute_good_coloring_exists(5, F, G), (F, G)
+
+
+@pytest.fixture(scope="module")
+def graphs_by_order():
+    return {n: brute_graphs(n) for n in range(1, 8)}
+
+
+class TestEveryGraphOracle:
+    """The search against every n-vertex red graph up to isomorphism: K_n
+    arrows (F, G) iff each such R holds F or has G in its complement."""
+
+    def test_graph_counts(self, graphs_by_order):
+        # OEIS A000088
+        assert [len(graphs_by_order[n]) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_lex_greatest_labelling_survives(self, graphs_by_order, n):
+        # the soundness claim of the symmetry breaks: the lex-greatest
+        # relabelling of any red graph passes both, edge by edge
+        edges = lex_edges(n)
+        for g in graphs_by_order[n]:
+            best = max(itertools.permutations(range(n)),
+                       key=lambda p: [g.has_edge(p[i], p[j]) for i, j in edges])
+            red = [0] * n
+            for u, v in edges:
+                if g.has_edge(best[u], best[v]):
+                    red[u] |= 1 << v
+                    red[v] |= 1 << u
+                    assert not arrowing._lex_violated(red, u, v), (g.adj, u, v)
+            d = red[0].bit_count()
+            assert red[0] == (2 << d) - 2
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_every_small_pattern_pair(self, graphs_by_order, n):
+        pats = [g for q in range(1, 5) for g in isolate_free_graphs(q)]
+        assert len(pats) == 19
+        hosts = graphs_by_order[n]
+        blues = [EdgeColoring(h).blue_graph() for h in hosts]
+        # bit j: the pattern is in host j, or in its complement
+        in_red = [sum(1 << j for j, h in enumerate(hosts) if embeds(p, h)) for p in pats]
+        in_blue = [sum(1 << j for j, b in enumerate(blues) if embeds(p, b)) for p in pats]
+        every = (1 << len(hosts)) - 1
+        for F, red_hit in zip(pats, in_red):
+            for G, blue_hit in zip(pats, in_blue):
+                out = arrows(n, F, G)
+                assert out.arrows == (red_hit | blue_hit == every), (n, F.adj, G.adj)
+                if out.witness is not None:
+                    assert verify_coloring(out.witness, F, G)
 
 
 class TestRamseyNumber:

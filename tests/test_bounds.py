@@ -10,10 +10,10 @@ def test_t1_holds_with_the_papers_equality_cases():
 
 
 def test_t2_equality_at_triangle():
-    # r(C4, G) <= 2p + q - 2, with equality at K3
-    result = sweep("t2", q_max=3)
+    # r(C4, G) <= 2p + q - 2, with equality exactly at K3 (q <= 4)
+    result = sweep("t2", q_max=4)
     assert result.ok
-    assert "K3" in result.equality_set
+    assert set(result.equality_set) == {"K3"}
 
 
 def test_cited_inequalities_hold():

@@ -67,3 +67,22 @@ def test_resume_rejects_a_foreign_file(tmp_path, capsys, text, message):
     assert code == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize("first,second,message", [
+    (["--theorem", "t1", "--q-max", "2"], ["--theorem", "t3", "--q-max", "2"], "holds a t1 sweep"),
+    (["--theorem", "t3", "--q-max", "1"], ["--theorem", "t3", "--q-max", "1", "--k", "4"],
+     "holds a k=3 sweep"),
+])
+def test_resume_rejects_a_cut_file_of_another_sweep(tmp_path, capsys, first, second, message):
+    # a run cut before its footer leaves only report rows, which must name
+    # their own sweep
+    path = tmp_path / "cut.jsonl"
+    assert main(["verify", "--json", str(path)] + first) == 0
+    text = "".join(path.read_text().splitlines(keepends=True)[:-1])
+    assert text and "summary" not in text
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["verify", "--json", str(path), "--resume"] + second) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert path.read_text() == text
