@@ -22,13 +22,16 @@ lex-greatest relabelling, and it passes both:
   raise the matrix at row min(i, c) and leave the rows before it alone.
 
 The lex-leader test runs after edge (u, v) turns red and compares row u
-with each row i < u on columns 0..v; row i is complete by then.  A blue
-edge only lowers row u, so blue assignments are not tested, and block 0
-(u = 0) has no earlier row, so the vertex-0 prefixes that --jobs hands
-out are never lex-pruned.  Both breaks keep the lex-greatest relabelling
-of every good coloring, so the reduced tree holds a good coloring iff one
-exists.  The DFS meets colorings in falling lex order, so the first it
-finds is the lex-greatest good coloring, with or without the breaks.
+with each row i < u on columns 0..v; row i is complete by then.  It also
+runs when a block's first edge (u, u+1) turns blue, since row u's columns
+below u were set in earlier blocks and not yet tested.  Any other blue
+edge only lowers row u past columns already tested, so it is not tested.
+Block 0 (u = 0) has no earlier row, so the vertex-0 prefixes that --jobs
+hands out are never lex-pruned.  Both breaks keep the lex-greatest
+relabelling of every good coloring, so the reduced tree holds a good
+coloring iff one exists.  The DFS meets colorings in falling lex order,
+so the first it finds is the lex-greatest good coloring, with or without
+the breaks.
 """
 
 from __future__ import annotations
@@ -319,8 +322,11 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
     """DFS for a good coloring of K_n.
 
     Both symmetry breaks of the module docstring apply: vertex 0's edges
-    go red then blue, and a red edge (u, v) is pruned when row u then
-    exceeds an earlier row (_lex_violated; never for u = 0).
+    go red then blue, and a red edge (u, v), or a blue first edge
+    (u, u+1) of block u, is pruned when row u then exceeds an earlier row
+    (_lex_violated; never for u = 0).  The blue case is sound because
+    row u is set on columns 0..u+1 once (u, u+1) has a colour: columns
+    below u by the earlier blocks, column u+1 by this edge.
 
     prefix, when given, fixes the colors (1=red, 0=blue) of the first
     len(prefix) lexicographic edges; the symmetry breaks are only applied
@@ -392,7 +398,8 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
             else:
                 blue[u] |= vbit
                 blue[v] |= ubit
-                if not blue_check(blue, n, u, v):
+                # a block's first edge completes row u on columns 0..u+1
+                if not ((v == u + 1 and _lex_violated(red, u, v)) or blue_check(blue, n, u, v)):
                     col[k] = 0
                     if dfs(k + 1):
                         return True

@@ -223,7 +223,44 @@ def canonical_form(g: Graph) -> Graph:
     Vertices are first partitioned by iterated degree refinement; the result
     is the relabeling, among those that list each refinement cell in order of
     its colour, whose upper-triangle bit string (column-major, the graph6 bit
-    order) is lexicographically least.
+    order) is lexicographically least.  _canonical_search finds it, and
+    meets automorphisms of g on the way: one per leaf whose string equals
+    the best, and the transposition of each pair of twins it prunes.
+    automorphism_generators(g) returns those.
+    """
+    n = g.n
+    if n <= 1:
+        return Graph(n, g.adj)
+    best_perm = _canonical_search(g)[0]
+    pos = [0] * n
+    for p, v in enumerate(best_perm):
+        pos[v] = p
+    return Graph(n, [sum([1 << pos[w] for w in _bits(g.adj[v])]) for v in best_perm])
+
+
+def automorphism_generators(g: Graph) -> list[list[int]]:
+    """Automorphisms of g, each as a list gamma mapping v to gamma[v], that
+    canonical_form's search meets on its way: the leaf automorphisms it
+    records, then the transposition of each pair of twins it prunes.
+
+    They need not generate the whole automorphism group, but each one is
+    an automorphism, so the orbits they generate lie inside g's orbits.
+    """
+    n = g.n
+    if n <= 1:
+        return []
+    _, autos, twins = _canonical_search(g)
+    for u, v in sorted(twins):
+        gamma = list(range(n))
+        gamma[u], gamma[v] = v, u
+        autos.append(gamma)
+    return autos
+
+
+def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]], set[tuple[int, int]]]:
+    """(best_perm, autos, twins) for g on n >= 2 vertices: best_perm lists
+    the vertices in canonical_form's order, autos holds the leaf
+    automorphisms found and twins the pairs (u, v) pruned as twins.
 
     A depth-first search places one vertex per position and prunes with the
     partial bit string, in the manner of McKay's "Practical graph
@@ -238,12 +275,11 @@ def canonical_form(g: Graph) -> Graph:
       as the subtree it left is that automorphism's image of the best's;
     - orbit pruning: a candidate that the recorded automorphisms fixing the
       placed vertices map from a candidate already tried is skipped, and so
-      is a twin (same neighbours apart from each other) of one.
+      is a twin (same neighbours apart from each other) of one, since
+      swapping the two is an automorphism.
     None of these changes which string is least, only how fast it is found.
     """
     n, adj = g.n, g.adj
-    if n <= 1:
-        return Graph(n, g.adj)
     colors = _refine_colors(g)
     by_color: dict[int, list[int]] = {}
     for v in range(n):
@@ -259,6 +295,7 @@ def canonical_form(g: Graph) -> Graph:
     best_cols: list[int] | None = None
     best_perm: list[int] | None = None
     autos: list[list[int]] = []
+    twins: set[tuple[int, int]] = set()
 
     def dfs(p: int, eq: bool, used: int) -> int:
         """Search below the prefix placed[:p]; eq says its columns equal the
@@ -293,7 +330,9 @@ def canonical_form(g: Graph) -> Graph:
             if key[v] != least:
                 continue
             bv = 1 << v
-            if any((adj[u] & ~bv) == (adj[v] & ~(1 << u)) for u in tried):
+            twin = [u for u in tried if (adj[u] & ~bv) == (adj[v] & ~(1 << u))]
+            if twin:
+                twins.add((twin[0], v))
                 continue
             if tried and seen < len(autos):
                 if orbit is None:
@@ -324,10 +363,7 @@ def canonical_form(g: Graph) -> Graph:
 
     dfs(0, False, 0)
     assert best_perm is not None
-    pos = [0] * n
-    for p, v in enumerate(best_perm):
-        pos[v] = p
-    return Graph(n, [sum([1 << pos[w] for w in nbrs[v]]) for v in best_perm])
+    return best_perm, autos, twins
 
 
 # ---------------------------------------------------------------------------

@@ -100,3 +100,29 @@ def brute_graph_classes(q: int) -> set[str]:
         g = from_edges(len(verts), [(index[a], index[b]) for a, b in sub])
         seen.add(graph6_encode(canonical_form(g)))
     return seen
+
+
+def brute_orbit_labels(g: Graph) -> list[int]:
+    """label[v]: the least vertex u that some automorphism of g maps onto v,
+    found by backtracking over vertex maps that start u -> v and keep
+    adjacency to the vertices mapped so far."""
+    n = g.n
+    degs = g.degrees()
+
+    def extend(order: list[int], img: list[int]) -> bool:
+        # img[k] is the image of order[k]
+        k = len(img)
+        if k == n:
+            return True
+        x = order[k]
+        for y in range(n):
+            if y in img or degs[y] != degs[x]:
+                continue
+            if all(g.has_edge(x, order[i]) == g.has_edge(y, img[i]) for i in range(k)):
+                if extend(order, img + [y]):
+                    return True
+        return False
+
+    return [next(u for u in range(v + 1)
+                 if extend([u] + [w for w in range(n) if w != u], [v]))
+            for v in range(n)]

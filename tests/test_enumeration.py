@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ramsey.enumeration import EnumFilter, enumerate_graphs, isolate_free_graphs
@@ -8,12 +10,20 @@ from brute import brute_graph_classes
 
 # graphs with q edges and no isolated vertices, OEIS A000664; q <= 4 is also
 # checked against the brute-force oracle below
-EXPECTED_COUNTS = {1: 1, 2: 2, 3: 5, 4: 11, 5: 26, 6: 68, 7: 177, 8: 497}
+EXPECTED_COUNTS = {1: 1, 2: 2, 3: 5, 4: 11, 5: 26, 6: 68, 7: 177, 8: 497, 9: 1476}
 
 
 @pytest.mark.parametrize("q,count", sorted(EXPECTED_COUNTS.items()))
 def test_class_counts(q, count):
     assert len(isolate_free_graphs(q)) == count
+
+
+def test_q7_representatives_pinned():
+    # sha256 of the sorted canonical graph6 strings, joined by newlines:
+    # the representatives themselves, not just their number, stay fixed
+    keys = sorted(graph6_encode(g) for g in isolate_free_graphs(7))
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    assert digest == "2e6acdfa10819ec05c96d74e0cae2e4999476eed0fdc353d9339a354fbe1335d"
 
 
 def test_q2_classes():
@@ -91,6 +101,13 @@ def test_max_vertices_cap(brute_classes):
             got = [graph6_encode(g) for g in enumerate_graphs(EnumFilter(q=q, max_vertices=cap))]
             assert len(got) == len(set(got))
             assert set(got) == {s for s in every if graph6_decode(s).n <= cap}, (q, cap)
+
+
+def test_small_cap_on_many_edges():
+    # the cap bounds every level, so these finish at once: K5 is the only
+    # 10-edge graph on 5 vertices, and no 17-edge graph fits on 2
+    assert [describe(g) for g in enumerate_graphs(EnumFilter(q=10, max_vertices=5))] == ["K5"]
+    assert enumerate_graphs(EnumFilter(q=17, max_vertices=2)) == []
 
 
 def test_rejects_bad_filters():

@@ -5,7 +5,9 @@ import pytest
 
 from ramsey.graphs import (
     Graph,
+    _find,
     as_biclique,
+    automorphism_generators,
     GraphError,
     canonical_form,
     components,
@@ -22,7 +24,7 @@ from ramsey.graphs import (
 
 from ramsey.families import graph_from_name
 
-from brute import brute_canonical_form, brute_embeds
+from brute import brute_canonical_form, brute_embeds, brute_graphs, brute_orbit_labels
 
 K3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
 K4 = from_edges(4, list(itertools.combinations(range(4), 2)))
@@ -192,6 +194,65 @@ class TestCanonicalForm:
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert graph6_encode(canonical_form(relabeled(g, perm))) == g6
+
+
+def _automorphism_cases():
+    """Every graph on at most 6 vertices, then seeded random graphs on 8-11
+    vertices: plain ones of several densities, and ones built as two
+    copies of a random graph plus pendant leaves, which have twins and
+    non-trivial orbits."""
+    cases = [g for n in range(1, 7) for g in brute_graphs(n)]
+    rng = random.Random(97)
+    for _ in range(40):
+        cases.append(random_graph(rng, rng.randint(8, 11), rng.choice([0.15, 0.3, 0.5, 0.8])))
+    for _ in range(40):
+        h = random_graph(rng, rng.randint(3, 5))
+        g = disjoint_union(h, h)
+        leaves = rng.randint(0, 11 - g.n)
+        g = from_edges(g.n + leaves, g.edges() + [(0, g.n + i) for i in range(leaves)])
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        cases.append(relabeled(g, perm))
+    return cases
+
+
+class TestAutomorphismGenerators:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _automorphism_cases()
+
+    def test_generators_are_automorphisms(self, cases):
+        for g in cases:
+            edges = set(g.edges())
+            for gamma in automorphism_generators(g):
+                assert sorted(gamma) == list(range(g.n)), g
+                assert {tuple(sorted((gamma[a], gamma[b]))) for a, b in edges} == edges, g
+
+    def test_orbits_inside_brute_force_orbits(self, cases):
+        for g in cases:
+            label = brute_orbit_labels(g)
+            orbit = list(range(g.n))
+            for gamma in automorphism_generators(g):
+                for x in range(g.n):
+                    a, b = _find(orbit, x), _find(orbit, gamma[x])
+                    if a != b:
+                        orbit[a] = b
+            for x in range(g.n):
+                assert label[_find(orbit, x)] == label[x], (g, x)
+
+    def test_twins_give_transpositions(self):
+        # the leaves of a star are pairwise twins, and the search prunes
+        # every leaf after the first as a twin of one already tried
+        gens = automorphism_generators(STAR4)
+        assert gens
+        assert all(sum(gamma[x] != x for x in range(5)) == 2 for gamma in gens)
+
+    def test_asymmetric_graph_has_none(self):
+        # the smallest asymmetric graphs have 6 vertices; this one is a
+        # path 0-1-2-3-4 with 5 joined to 2 and 3
+        g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
+        assert brute_orbit_labels(g) == list(range(6))
+        assert automorphism_generators(g) == []
 
 
 class TestEmbeds:
