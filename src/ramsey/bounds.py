@@ -183,6 +183,8 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
 
     F = _biclique(k)
     q_min = 1 if theorem == "t3" else 2
+    if q_max < q_min:
+        raise ValueError(f"{theorem} sweeps q from {q_min}, so q_max={q_max} leaves no graph")
     result = SweepResult(theorem)
     for q in range(q_min, q_max + 1):
         for g in isolate_free_graphs(q):

@@ -26,6 +26,21 @@ def test_arrows_rejects_bad_order(tmp_path, capsys, n):
     assert not path.exists()
 
 
+def test_enumerate_connected_with_isolated_allowed(capsys):
+    assert main(["enumerate", "--edges", "1", "--connected", "--allow-isolated",
+                 "--max-vertices", "3"]) == 0
+    assert capsys.readouterr().out == "A_\n"
+
+
+@pytest.mark.parametrize("q_max", ["1", "0", "-3"])
+def test_verify_rejects_q_max_below_the_first_level(capsys, q_max):
+    # t1 starts at q=2; t3 starts at q=1, which the resume tests below use
+    assert main(["verify", "--theorem", "t1", "--q-max", q_max]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "leaves no graph" in err
+
+
 @pytest.mark.parametrize("command", [
     ["arrows", "--n", "5", "--red", "C4", "--blue", "K3"],
     ["ramsey", "--red", "C4", "--blue", "K3"],

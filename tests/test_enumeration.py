@@ -1,16 +1,18 @@
 import hashlib
+import random
 
 import pytest
 
-from ramsey.enumeration import EnumFilter, enumerate_graphs, isolate_free_graphs
+from ramsey.enumeration import EnumFilter, _edge_invariant, enumerate_graphs, isolate_free_graphs
 from ramsey.families import describe, graph_from_name
-from ramsey.graphs import canonical_form, graph6_decode, graph6_encode, is_connected
+from ramsey.graphs import canonical_form, from_edges, graph6_decode, graph6_encode, is_connected
 
-from brute import brute_graph_classes
+from brute import brute_graph_classes, brute_graphs
 
 # graphs with q edges and no isolated vertices, OEIS A000664; q <= 4 is also
-# checked against the brute-force oracle below
-EXPECTED_COUNTS = {1: 1, 2: 2, 3: 5, 4: 11, 5: 26, 6: 68, 7: 177, 8: 497, 9: 1476}
+# checked against the brute-force oracles below
+EXPECTED_COUNTS = {1: 1, 2: 2, 3: 5, 4: 11, 5: 26, 6: 68, 7: 177, 8: 497, 9: 1476,
+                   10: 4613}
 
 
 @pytest.mark.parametrize("q,count", sorted(EXPECTED_COUNTS.items()))
@@ -53,6 +55,34 @@ def test_completeness_against_brute_force(q, brute_classes):
     assert got == brute_classes[q]
 
 
+@pytest.fixture(scope="module")
+def small_graphs():
+    """Every graph on 1..6 vertices, built by vertex extension (brute_graphs),
+    so this oracle never uses the enumeration's edge invariant."""
+    return [g for n in range(1, 7) for g in brute_graphs(n)]
+
+
+@pytest.mark.parametrize("q", range(1, 16))
+def test_capped_classes_against_vertex_extension(q, small_graphs):
+    got = [graph6_encode(g) for g in enumerate_graphs(EnumFilter(q=q, max_vertices=6))]
+    want = sorted((g for g in small_graphs if g.q == q and min(g.degrees()) >= 1),
+                  key=lambda g: (g.n, graph6_encode(g)))
+    assert got == [graph6_encode(g) for g in want]
+
+
+def test_edge_invariant_survives_relabelling():
+    rng = random.Random(13)
+    for _ in range(30):
+        n = rng.randint(8, 11)
+        g = from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < rng.choice([0.2, 0.4, 0.6])])
+        values = sorted(_edge_invariant(g.adj, i, j) for i, j in g.edges())
+        for _ in range(5):
+            perm = rng.sample(range(n), n)
+            h = from_edges(n, [(perm[i], perm[j]) for i, j in g.edges()])
+            assert sorted(_edge_invariant(h.adj, i, j) for i, j in h.edges()) == values
+
+
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 def test_every_output_has_q_edges_and_no_isolates(q):
     for g in isolate_free_graphs(q):
@@ -90,6 +120,16 @@ def test_connected_filter():
 def test_allow_isolated_pads_classes():
     gs = enumerate_graphs(EnumFilter(q=1, require_isolate_free=False, max_vertices=4))
     assert [describe(g) for g in gs] == ["K2", "K1 u K2", "2K1 u K2"]
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_connected_with_isolated_allowed_is_not_padded(q):
+    # a padded graph is never connected, so allowing isolates adds nothing
+    loose = enumerate_graphs(EnumFilter(q=q, require_isolate_free=False,
+                                        require_connected=True, max_vertices=2 * q + 1))
+    assert all(is_connected(g) for g in loose)
+    assert loose == enumerate_graphs(EnumFilter(q=q, require_connected=True,
+                                                max_vertices=2 * q + 1))
 
 
 def test_max_vertices_cap(brute_classes):
