@@ -26,10 +26,11 @@ with each row i < u on columns 0..v; row i is complete by then.  It also
 runs when a block's first edge (u, u+1) turns blue, since row u's columns
 below u were set in earlier blocks and not yet tested.  Any other blue
 edge only lowers row u past columns already tested, so it is not tested.
-Block 0 (u = 0) has no earlier row, so the vertex-0 prefixes that --jobs
-hands out are never lex-pruned.  Both breaks keep the lex-greatest
-relabelling of every good coloring, so the reduced tree holds a good
-coloring iff one exists.  The DFS meets colorings in falling lex order,
+Block 0 (u = 0) has no earlier row, so it is never lex-pruned.  With
+--jobs the DFS stops at the end of block 0, and each block coloring that
+survives is the prefix of one worker's subtree.  Both breaks keep the
+lex-greatest relabelling of every good coloring, so the reduced tree
+holds a good coloring iff one exists.  The DFS meets colorings in falling lex order,
 so the first it finds is the lex-greatest good coloring, with or without
 the breaks.
 """
@@ -318,7 +319,7 @@ def _lex_violated(red: list[int], u: int, v: int) -> bool:
 
 
 def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
-            prefix: Optional[list[int]] = None):
+            prefix: Optional[list[int]] = None, split: Optional[list] = None):
     """DFS for a good coloring of K_n.
 
     Both symmetry breaks of the module docstring apply: vertex 0's edges
@@ -328,20 +329,26 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
     row u is set on columns 0..u+1 once (u, u+1) has a colour: columns
     below u by the earlier blocks, column u+1 by this edge.
 
+    split, when given, stops the DFS at the end of vertex 0's block: each
+    coloring of the block's n-1 edges that survives is appended to split as
+    (nodes counted since the previous one, its colors), in the order the
+    full DFS meets them.  The nodes counted after the last one are the
+    returned total minus the appended ones.
+
     prefix, when given, fixes the colors (1=red, 0=blue) of the first
     len(prefix) lexicographic edges; the symmetry breaks are only applied
-    to edges the DFS assigns itself.  The prefix edges are not
-    checked here, and the anchored checks of later edges assume neither
-    color class of the prefix holds its pattern, so prefixes must come
-    from _vertex0_prefixes, which checks each edge as it adds it.
+    to edges the DFS assigns itself.  The prefix edges are not checked
+    here, and the anchored checks of later edges assume neither color
+    class of the prefix holds its pattern, so prefixes must come from a
+    split, which checks each edge as it adds it.
 
     Patterns with no edges, and pairs of which neither fits in K_n, are
     decided by _run_search before it gets here.
 
-    Returns (colors or None, nodes).  colors is a list of 1/0 per edge.
+    Returns (red rows of the good coloring or None, nodes).
     """
     edges = lex_edges(n)
-    m = len(edges)
+    m = n - 1 if split is not None else len(edges)
     red = [0] * n
     blue = [0] * n
     col = [-1] * m
@@ -362,6 +369,7 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
         start_k = len(prefix)
 
     nodes = 0
+    split_nodes = 0
     t0 = time.monotonic()
     max_nodes = budget.max_nodes if budget else None
     max_seconds = budget.max_seconds if budget else None
@@ -372,9 +380,13 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
             nodes=nodes, seconds=time.monotonic() - t0)
 
     def dfs(k: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, split_nodes
         if k == m:
-            return True
+            if split is None:
+                return True
+            split.append((nodes - split_nodes, col[:]))
+            split_nodes = nodes
+            return False
         u, v = edges[k]
         ubit, vbit = 1 << u, 1 << v
         # symmetry break: vertex 0's edges are non-increasing (red then blue)
@@ -411,71 +423,15 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
     if max_nodes is not None and max_nodes <= 0:
         bail()
     found = dfs(start_k)
-    return (col[:] if found else None), nodes
+    return (red if found else None), nodes
 
 
-def _coloring_from_bits(n: int, col: list[int]) -> EdgeColoring:
-    red = [0] * n
-    for (u, v), c in zip(lex_edges(n), col):
-        if c:
-            red[u] |= 1 << v
-            red[v] |= 1 << u
-    return EdgeColoring(Graph(n, red))
-
-
-def _vertex0_prefixes(n: int, F: Graph, G: Graph) -> tuple[list[tuple[int, list[int]]], int]:
-    """Valid colorings of vertex 0's edges under the symmetry break, in the
-    order the sequential DFS visits them (all-red first), each paired with
-    the vertex-0 nodes that DFS counts on its way to it, and the nodes it
-    counts after the last one.
-
-    Coloring t is t red edges, then blue.  The DFS walks the red chain once,
-    up to its first prune, then for each t it reached, t falling, tries
-    blue at edges t.. until a prune or the end of vertex 0's edges.  This
-    walk does the same, so it makes one check call per node it counts.
-    """
-    edges = lex_edges(n)
-    red_check = _make_check(F)
-    blue_check = _make_check(G)
-    nodes = 0
-    red = [0] * n
-    top = n - 1  # the most red edges a valid coloring can have
-    for k in range(n - 1):
-        u, v = edges[k]
-        nodes += 1
-        red[u] |= 1 << v
-        red[v] |= 1 << u
-        if red_check(red, n, u, v):
-            top = k
-            break
-    out = []
-    for t in range(top, -1, -1):
-        blue = [0] * n
-        ok = True
-        for k in range(t, n - 1):
-            u, v = edges[k]
-            nodes += 1
-            blue[u] |= 1 << v
-            blue[v] |= 1 << u
-            if blue_check(blue, n, u, v):
-                ok = False
-                break
-        if ok:
-            out.append((nodes, [1] * t + [0] * (n - 1 - t)))
-            nodes = 0
-    return out, nodes
-
-
-def _search_task(args):
-    n, f_state, g_state, prefix, max_nodes, max_seconds = args
-    F = Graph(*f_state)
-    G = Graph(*g_state)
-    budget = Budget(max_nodes=max_nodes, max_seconds=max_seconds)
+def _search_task(n, F, G, budget, prefix):
+    """Pool task: (red rows or None, nodes, whether the budget ran out)."""
     try:
-        col, nodes = _search(n, F, G, budget, prefix=prefix)
-        return ("ok", col, nodes)
+        return (*_search(n, F, G, budget, prefix=prefix), False)
     except BudgetExceededError as e:
-        return ("budget", None, e.nodes)
+        return None, e.nodes, True
 
 
 def _run_search(n, F, G, budget, jobs):
@@ -489,39 +445,36 @@ def _run_search(n, F, G, budget, jobs):
         return None, 0, time.monotonic() - t0
     if F.q > 0 and F.n > n and G.q > 0 and G.n > n:
         # nothing fits; any coloring is good
-        return _coloring_from_bits(n, [1] * (n * (n - 1) // 2)), 0, time.monotonic() - t0
+        return EdgeColoring.from_red(n, lex_edges(n)), 0, time.monotonic() - t0
     if jobs <= 1 or n < 4:
-        col, nodes = _search(n, F, G, budget)
-        witness = _coloring_from_bits(n, col) if col is not None else None
+        red, nodes = _search(n, F, G, budget)
+        witness = EdgeColoring(Graph(n, red)) if red is not None else None
         return witness, nodes, time.monotonic() - t0
 
-    prefixes, tail_nodes = _vertex0_prefixes(n, F, G)
+    prefixes = []
+    tail_nodes = _search(n, F, G, budget, split=prefixes)[1] - sum(lead for lead, _ in prefixes)
     if not prefixes:
         return None, tail_nodes, time.monotonic() - t0
     total_nodes = 0
-    max_nodes = budget.max_nodes if budget else None
-    max_seconds = budget.max_seconds if budget else None
-    tasks = [(n, (F.n, F.adj), (G.n, G.adj), p, max_nodes, max_seconds) for _, p in prefixes]
     witness = None
     budget_hit = False
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_search_task, t) for t in tasks]
+        futures = [pool.submit(_search_task, n, F, G, budget, p) for _, p in prefixes]
         # consume in task order: the first subtree with a good coloring is
         # the one sequential DFS would reach first
         for (lead_nodes, _), fut in zip(prefixes, futures):
-            status, col, nodes = fut.result()
+            red, nodes, budget_hit = fut.result()
             total_nodes += lead_nodes + nodes
-            if status == "budget":
-                budget_hit = True
+            if budget_hit:
                 break
-            if col is not None:
-                witness = _coloring_from_bits(n, col)
+            if red is not None:
+                witness = EdgeColoring(Graph(n, red))
                 break
         else:
             total_nodes += tail_nodes
         for fut in futures:
             fut.cancel()
-    if witness is None and budget_hit:
+    if budget_hit:
         raise BudgetExceededError(
             f"arrowing search for n={n} exceeded its budget",
             nodes=total_nodes, seconds=time.monotonic() - t0)
@@ -542,21 +495,19 @@ def arrows(n: int, F: Graph, G: Graph, budget: Optional[Budget] = None,
 
 
 def ramsey_number(F: Graph, G: Graph, n_max: int = 32,
-                  budget: Optional[Budget] = None, jobs: int = 1,
-                  lower_bound: Optional[int] = None) -> int:
+                  budget: Optional[Budget] = None, jobs: int = 1) -> int:
     """Least n with arrows(n, F, G), found by scanning upward.
 
-    lower_bound, when supplied, must come from a verified witness (the scan
-    starts there).  Raises SearchCapError if n_max is reached first.
+    The scan starts at the larger pattern's order: below it that pattern
+    does not fit, so coloring every edge in its color is good.  Raises
+    SearchCapError if n_max is reached first.
     """
-    r, _ = ramsey_number_with_witness(F, G, n_max=n_max, budget=budget,
-                                      jobs=jobs, lower_bound=lower_bound)
+    r, _ = ramsey_number_with_witness(F, G, n_max=n_max, budget=budget, jobs=jobs)
     return r
 
 
 def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
-                               budget: Optional[Budget] = None, jobs: int = 1,
-                               lower_bound: Optional[int] = None):
+                               budget: Optional[Budget] = None, jobs: int = 1):
     """(r, witness at r-1).  The witness is None only when r-1 admits no
     coloring at all (r <= 1)."""
     if n_max > MAX_VERTICES:
@@ -564,8 +515,6 @@ def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
     start = 1
     if F.q > 0 and G.q > 0:
         start = max(F.n, G.n)
-    if lower_bound is not None:
-        start = max(start, lower_bound)
     witness = None
     for n in range(start, n_max + 1):
         got = _run_search(n, F, G, budget, jobs)[0]
@@ -575,16 +524,3 @@ def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
             return n, witness
         witness = got
     raise SearchCapError(f"r(F,G) > {n_max}; raise n_max")
-
-
-def star_witness(q: int) -> EdgeColoring:
-    """The K_{2q} coloring whose red graph is the spanning star at vertex 0.
-
-    Its red graph has no 4-cycle and its blue graph misses vertex 0, so blue
-    matchings stop at q-1 edges: a good coloring for (C_4, qK_2) proving
-    r(C_4, qK_2) >= 2q+1.
-    """
-    if q < 2:
-        raise ValueError(f"star witness needs q >= 2, got {q}")
-    n = 2 * q
-    return EdgeColoring.from_red(n, [(0, i) for i in range(1, n)])

@@ -16,8 +16,6 @@ from ramsey.arrowing import (
     Budget,
     BudgetExceededError,
     ramsey_number,
-    star_witness,
-    verify_coloring,
 )
 from ramsey.enumeration import EnumFilter, enumerate_graphs, isolate_free_graphs
 from ramsey.families import FamilySpec, describe, realize
@@ -141,10 +139,6 @@ def _biclique(k: int) -> Graph:
     return realize(FamilySpec("biclique", (2, k)))
 
 
-def _is_matching(g: Graph) -> bool:
-    return all(d == 1 for d in g.degrees())
-
-
 def _is_path_star_or_triangle(g: Graph) -> bool:
     if not is_connected(g):
         return False
@@ -156,16 +150,11 @@ def _is_path_star_or_triangle(g: Graph) -> bool:
     return False
 
 
-def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
-          budget: Optional[Budget] = None, jobs: int = 1,
-          on_report: Optional[Callable[[BoundReport], None]] = None,
-          skip: Optional[set] = None) -> SweepResult:
-    """Check one bound over every enumerated graph in its hypothesis.
+def sweep_params(theorem: str, q_max: Optional[int] = None,
+                 k: Optional[int] = None) -> tuple[str, int, int, int, Graph]:
+    """(theorem, q_min, q_max, k, K_{2,k}) of a sweep, defaults filled in.
 
-    Reports stream through on_report as they finish; skip (canonical graph6
-    keys) resumes a partial run.  A slack < 0 raises SweepViolationError
-    naming the counterexample; per-graph budget exhaustion is recorded in
-    .incomplete instead of aborting the sweep.
+    Raises ValueError when the arguments leave no sweep to run.
     """
     theorem = theorem.lower()
     if theorem not in THEOREMS:
@@ -180,11 +169,24 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
         raise ValueError("t3 needs k >= 3")
     if k < 2:
         raise ValueError("k must be >= 2")
-
-    F = _biclique(k)
     q_min = 1 if theorem == "t3" else 2
     if q_max < q_min:
         raise ValueError(f"{theorem} sweeps q from {q_min}, so q_max={q_max} leaves no graph")
+    return theorem, q_min, q_max, k, _biclique(k)
+
+
+def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
+          budget: Optional[Budget] = None, jobs: int = 1,
+          on_report: Optional[Callable[[BoundReport], None]] = None,
+          skip: Optional[set] = None) -> SweepResult:
+    """Check one bound over every enumerated graph in its hypothesis.
+
+    Reports stream through on_report as they finish; skip (canonical graph6
+    keys) resumes a partial run.  A slack < 0 raises SweepViolationError
+    naming the counterexample; per-graph budget exhaustion is recorded in
+    .incomplete instead of aborting the sweep.
+    """
+    theorem, q_min, q_max, k, F = sweep_params(theorem, q_max, k)
     result = SweepResult(theorem)
     for q in range(q_min, q_max + 1):
         for g in isolate_free_graphs(q):
@@ -205,15 +207,9 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
             else:
                 bound = bound_l32(k, q)
             t0 = time.perf_counter()
-            lower = None
-            if k == 2 and _is_matching(g) and q >= 2:
-                # spanning-star coloring certifies r(C_4, qK_2) >= 2q+1
-                w = star_witness(q)
-                if verify_coloring(w, F, g):
-                    lower = 2 * q + 1
             try:
                 exact = ramsey_number(F, g, n_max=max(bound + 2, g.n, F.n),
-                                      budget=budget, jobs=jobs, lower_bound=lower)
+                                      budget=budget, jobs=jobs)
             except BudgetExceededError:
                 result.incomplete.append((g6, "budget exceeded"))
                 continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -25,7 +26,7 @@ from ramsey.arrowing import (
     ramsey_number_with_witness,
     verify_coloring,
 )
-from ramsey.bounds import DEFAULT_K, BoundReport, SweepViolationError, sweep
+from ramsey.bounds import BoundReport, SweepViolationError, sweep, sweep_params
 from ramsey.enumeration import EnumFilter, enumerate_graphs
 from ramsey.families import NameParseError, graph_from_name
 from ramsey.graphs import GraphError, graph6_encode
@@ -35,25 +36,22 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-BUDGET_ENV = "RAMSEY_BUDGET_SECS"
-
 
 def _budget_from(args) -> Optional[Budget]:
-    secs = args.budget
-    if secs is None:
-        env = os.environ.get(BUDGET_ENV)
-        if env:
-            try:
-                secs = float(env)
-            except ValueError:
-                raise SystemExit(f"bad {BUDGET_ENV}={env!r}")
-    return Budget(max_seconds=secs) if secs is not None else None
+    return Budget(max_seconds=args.budget) if args.budget is not None else None
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # false for nan too
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -68,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--budget", type=float, default=None,
-                       help=f"time budget in seconds (default: ${BUDGET_ENV} or unlimited)")
+        p.add_argument("--budget", type=_positive_float, default=None,
+                       help="time budget in seconds (default: unlimited)")
         p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes for search-tree partitioning")
 
@@ -174,7 +172,8 @@ def _resumed_reports(path: str, theorem: str, k: int) -> list[BoundReport]:
 
 
 def _cmd_verify(args) -> int:
-    k = DEFAULT_K[args.theorem] if args.k is None else args.k
+    # check the arguments before the --json file is opened, and emptied
+    k = sweep_params(args.theorem, args.q_max, args.k)[3]
     prior = []
     if args.resume and args.json and os.path.exists(args.json):
         prior = _resumed_reports(args.json, args.theorem, k)

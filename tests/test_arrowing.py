@@ -13,11 +13,10 @@ from ramsey.arrowing import (
     coloring_to_text,
     ramsey_number,
     ramsey_number_with_witness,
-    star_witness,
     verify_coloring,
     _has_matching,
     _make_check,
-    _vertex0_prefixes,
+    _search,
 )
 from ramsey import arrowing
 from ramsey.families import graph_from_name
@@ -69,20 +68,15 @@ class TestVerifyColoring:
 
 
 class TestStarWitness:
+    """The paper's lower-bound construction r(C4, qK2) >= 2q+1: on K_2q the
+    red spanning star has no 4-cycle, and blue misses its centre, so blue
+    matchings stop at q-1 edges."""
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
     def test_valid_for_matchings(self, q):
-        w = star_witness(q)
-        assert w.n == 2 * q
+        w = EdgeColoring.from_red(2 * q, [(0, i) for i in range(1, 2 * q)])
         m = graph_from_name(f"{q}K2")
         assert verify_coloring(w, C4, m)
-
-    def test_red_graph_is_spanning_star(self):
-        w = star_witness(3)
-        assert sorted(w.red.degrees()) == [1] * 5 + [5]
-
-    def test_rejects_small_q(self):
-        with pytest.raises(ValueError):
-            star_witness(1)
 
 
 class TestFindGoodColoring:
@@ -174,14 +168,41 @@ class TestArrows:
                 return check(*args)
             return counted
         monkeypatch.setattr(arrowing, "_make_check", counting_make_check)
-        prefixes, tail = _vertex0_prefixes(n, C4, graph_from_name(blue))
-        nodes = sum(lead for lead, _ in prefixes) + tail
+        prefixes = []
+        nodes = _search(n, C4, graph_from_name(blue), None, split=prefixes)[1]
+        tail = nodes - sum(lead for lead, _ in prefixes)
         assert calls[0] <= nodes
         # a star holds neither C4 nor the blue pattern, so every coloring
         # survives, each after its b blue nodes
         assert prefixes == [(n - 1, [1] * (n - 1))] + [
             (b, [1] * (n - 1 - b) + [0] * b) for b in range(1, n)]
         assert tail == 0
+
+    def test_split_replays_the_sequential_search(self):
+        # the --jobs partition without a pool: the subtrees of the split's
+        # prefixes, searched in order, give the sequential witness and node
+        # total, over every pair of the 19 isolate-free patterns with q <= 4
+        pats = [g for q in range(1, 5) for g in isolate_free_graphs(q)]
+        pairs = 0
+        for n in range(4, 8):
+            for F in pats:
+                for G in pats:
+                    if F.n > n and G.n > n:
+                        continue  # decided before any search
+                    pairs += 1
+                    want = _search(n, F, G, None)
+                    prefixes = []
+                    total = _search(n, F, G, None, split=prefixes)[1]
+                    red, nodes = None, 0
+                    for lead, prefix in prefixes:
+                        red, sub = _search(n, F, G, None, prefix=prefix)
+                        nodes += lead + sub
+                        if red is not None:
+                            break
+                    else:
+                        nodes += total - sum(lead for lead, _ in prefixes)
+                    assert (red, nodes) == want, (n, F.adj, G.adj)
+        assert pairs == 1282
 
     @pytest.mark.parametrize("red,blue,n", [
         ("C4", "K3", 6), ("C4", "K3", 7), ("C4", "4K2", 8), ("C4", "3K2", 7),
@@ -377,9 +398,6 @@ class TestRamseyNumber:
     def test_cap_error(self):
         with pytest.raises(SearchCapError):
             ramsey_number(C4, K3, n_max=5)
-
-    def test_lower_bound_hint(self):
-        assert ramsey_number(C4, M2, lower_bound=5) == 5
 
 
 class TestWitnessFiles:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ramsey.cli import EXIT_USAGE, EXIT_VIOLATION, main
+from ramsey.cli import EXIT_BUDGET, EXIT_USAGE, EXIT_VIOLATION, main
 
 
 @pytest.mark.parametrize("n", [33, 100000])
@@ -101,3 +101,27 @@ def test_resume_rejects_a_cut_file_of_another_sweep(tmp_path, capsys, first, sec
     assert main(["verify", "--json", str(path), "--resume"] + second) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize("flags", [["--q-max", "1"], ["--k", "3"]])
+def test_rejected_verify_leaves_the_json_file(tmp_path, capsys, flags):
+    path = tmp_path / "keep.jsonl"
+    path.write_bytes(b'{"kept": true}\n')
+    assert main(["verify", "--theorem", "t1", "--json", str(path)] + flags) == EXIT_USAGE
+    assert path.read_bytes() == b'{"kept": true}\n'
+
+
+@pytest.mark.parametrize("budget", ["abc", "-1", "0", "nan", "inf"])
+def test_rejects_a_budget_that_is_not_a_positive_number(capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["arrows", "--n", "5", "--red", "C4", "--blue", "K3", "--budget", budget])
+    assert exc.value.code == EXIT_USAGE
+    assert "--budget" in capsys.readouterr().err
+
+
+def test_budget_exceeded_exits_3(capsys):
+    code = main(["arrows", "--n", "9", "--red", "C4", "--blue", "4K2", "--budget", "1e-9"])
+    assert code == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "budget exceeded" in err
