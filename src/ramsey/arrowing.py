@@ -30,9 +30,9 @@ Block 0 (u = 0) has no earlier row, so it is never lex-pruned.  With
 --jobs the DFS stops at the end of block 0, and each block coloring that
 survives is the prefix of one worker's subtree.  Both breaks keep the
 lex-greatest relabelling of every good coloring, so the reduced tree
-holds a good coloring iff one exists.  The DFS meets colorings in falling lex order,
-so the first it finds is the lex-greatest good coloring, with or without
-the breaks.
+holds a good coloring iff one exists.  The DFS meets colorings in falling
+lex order, so the first it finds is the lex-greatest good coloring, with
+or without the breaks.
 """
 
 from __future__ import annotations
