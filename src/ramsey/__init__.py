@@ -7,8 +7,6 @@ from ramsey.graphs import (
     GraphError,
     canonical_form,
     components,
-    degree_profile,
-    delete_vertex,
     disjoint_union,
     embeds,
     from_edges,
@@ -26,8 +24,6 @@ __all__ = [
     "GraphError",
     "canonical_form",
     "components",
-    "degree_profile",
-    "delete_vertex",
     "disjoint_union",
     "embeds",
     "from_edges",

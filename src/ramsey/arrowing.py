@@ -7,6 +7,7 @@ pattern that use the newest edge can have appeared, so an anchored
 containment check at that edge keeps the search tree sound and complete.
 A coloring that survives all assignments ("good coloring") witnesses
 n < r(F, G); if the symmetry-reduced tree is exhausted, K_n arrows (F, G).
+A witness is the red graph of a good coloring; blue is its complement.
 
 Two symmetry breaks cut isomorphic colorings from the tree.  Read the red
 adjacency matrix row by row over its upper triangle (the lexicographic
@@ -48,9 +49,11 @@ from ramsey.graphs import (
     GraphError,
     _bits,
     as_biclique,
+    complement,
     embed_plan,
     embeds,
     extend_embedding,
+    from_edges,
     lex_edges,
 )
 
@@ -81,69 +84,39 @@ class Budget:
     max_seconds: Optional[float] = None
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeColoring:
-    """Red/blue coloring of the edges of K_n, given by its red graph; every
-    other pair of vertices is blue."""
-
-    red: Graph
-
-    @classmethod
-    def from_red(cls, n: int, red_edges) -> "EdgeColoring":
-        """The coloring with the given edges red and everything else blue.
-
-        A pair listed twice, in either orientation, is one red edge.
-        """
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
-        adj = [0] * n
-        for i, j in red_edges:
-            if not (0 <= i < n and 0 <= j < n and i != j):
-                raise ValueError(f"red edge ({i},{j}) out of range for n={n}")
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return cls(Graph(n, adj))
-
-    @property
-    def n(self) -> int:
-        return self.red.n
-
-    def blue_graph(self) -> Graph:
-        """The complement of the red graph."""
-        full = (1 << self.n) - 1
-        return Graph(self.n, [full & ~row & ~(1 << v) for v, row in enumerate(self.red.adj)])
-
-
 @dataclass(frozen=True)
 class ArrowingOutcome:
     """Result of an arrowing decision.
 
-    witness is present exactly when arrows is False, and always passes
+    witness is present exactly when arrows is False: the red graph of a
+    good coloring of K_n, every other pair blue.  It always passes
     verify_coloring.
     """
 
     arrows: bool
-    witness: Optional[EdgeColoring]
+    witness: Optional[Graph]
     nodes: int
     seconds: float
 
 
-def verify_coloring(c: EdgeColoring, F: Graph, G: Graph) -> bool:
-    """Engine-independent check that c is a good coloring: no F in the red
-    graph and no G in the blue graph."""
-    return not embeds(F, c.red) and not embeds(G, c.blue_graph())
+def verify_coloring(red: Graph, F: Graph, G: Graph) -> bool:
+    """Engine-independent check that the coloring with red graph red is
+    good: no F in red and no G in its complement, the blue graph."""
+    return not embeds(F, red) and not embeds(G, complement(red))
 
 
 # ---------------------------------------------------------------------------
 # witness text format:  line 1 "n=<N>", line 2 "red=<i-j,i-j,...>"
 # ---------------------------------------------------------------------------
 
-def coloring_to_text(c: EdgeColoring) -> str:
-    red = ",".join(f"{i}-{j}" for i, j in c.red.edges())
-    return f"n={c.n}\nred={red}\n"
+def coloring_to_text(red: Graph) -> str:
+    pairs = ",".join(f"{i}-{j}" for i, j in red.edges())
+    return f"n={red.n}\nred={pairs}\n"
 
 
-def coloring_from_text(text: str) -> EdgeColoring:
+def coloring_from_text(text: str) -> Graph:
+    """The red graph a witness file gives; every pair it does not list is
+    blue.  A pair listed twice, in either orientation, is one red edge."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) != 2 or not lines[0].startswith("n=") or not lines[1].startswith("red="):
         raise ValueError("witness file must have lines 'n=<N>' and 'red=<pairs>'")
@@ -151,16 +124,20 @@ def coloring_from_text(text: str) -> EdgeColoring:
         n = int(lines[0][2:])
     except ValueError:
         raise ValueError(f"bad vertex count {lines[0][2:]!r}") from None
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    adj = [0] * n
     body = lines[1][4:]
-    red = []
-    if body:
-        for part in body.split(","):
-            try:
-                i, j = part.split("-")
-                red.append((int(i), int(j)))
-            except ValueError:
-                raise ValueError(f"bad red edge {part!r}") from None
-    return EdgeColoring.from_red(n, red)
+    for part in body.split(",") if body else ():
+        try:
+            i, j = map(int, part.split("-"))
+        except ValueError:
+            raise ValueError(f"bad red edge {part!r}") from None
+        if not (0 <= i < n and 0 <= j < n and i != j):
+            raise ValueError(f"red edge ({i},{j}) out of range for n={n}")
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return Graph(n, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +148,6 @@ def _as_matching(g: Graph) -> Optional[int]:
     """m if g is mK_2."""
     if g.q >= 1 and g.n == 2 * g.q and all(d == 1 for d in g.degrees()):
         return g.q
-    return None
-
-
-def _as_star(g: Graph) -> Optional[int]:
-    """s if g is the star K_{1,s} (s >= 1; K_2 counts as K_{1,1})."""
-    if g.n >= 2 and g.q == g.n - 1:
-        degs = sorted(g.degrees())
-        if degs[-1] == g.n - 1 and all(d == 1 for d in degs[:-1]):
-            return g.n - 1
     return None
 
 
@@ -247,12 +215,12 @@ def _make_check(pat: Graph):
         def check_matching(adj, n, u, v, _need=m - 1):
             return _has_matching(adj, ((1 << n) - 1) & ~((1 << u) | (1 << v)), _need)
         return check_matching
-    s = _as_star(pat)
-    if s is not None:
-        def check_star(adj, n, u, v, _s=s):
+    ab = as_biclique(pat)
+    if ab is not None and ab[0] == 1:
+        # a new star K_{1,s} is centred at u or v
+        def check_star(adj, n, u, v, _s=ab[1]):
             return adj[u].bit_count() >= _s or adj[v].bit_count() >= _s
         return check_star
-    ab = as_biclique(pat)
     if ab is not None and ab[0] == 2:
         def check_biclique(adj, n, u, v, _k=ab[1]):
             # a new K_{2,k} through (u,v) pairs one endpoint with a second
@@ -435,7 +403,8 @@ def _search_task(n, F, G, budget, prefix):
 
 
 def _run_search(n, F, G, budget, jobs):
-    """(witness or None, nodes, seconds) for K_n against (F, G)."""
+    """(witness or None, nodes, seconds) for K_n against (F, G); the
+    witness is a good coloring's red graph."""
     if not 0 <= n <= MAX_VERTICES:
         raise GraphError(f"order {n} outside 0..{MAX_VERTICES}")
     t0 = time.monotonic()
@@ -445,10 +414,10 @@ def _run_search(n, F, G, budget, jobs):
         return None, 0, time.monotonic() - t0
     if F.q > 0 and F.n > n and G.q > 0 and G.n > n:
         # nothing fits; any coloring is good
-        return EdgeColoring.from_red(n, lex_edges(n)), 0, time.monotonic() - t0
+        return from_edges(n, lex_edges(n)), 0, time.monotonic() - t0
     if jobs <= 1 or n < 4:
         red, nodes = _search(n, F, G, budget)
-        witness = EdgeColoring(Graph(n, red)) if red is not None else None
+        witness = Graph(n, red) if red is not None else None
         return witness, nodes, time.monotonic() - t0
 
     prefixes = []
@@ -468,7 +437,7 @@ def _run_search(n, F, G, budget, jobs):
             if budget_hit:
                 break
             if red is not None:
-                witness = EdgeColoring(Graph(n, red))
+                witness = Graph(n, red)
                 break
         else:
             total_nodes += tail_nodes
@@ -500,7 +469,8 @@ def ramsey_number(F: Graph, G: Graph, n_max: int = 32,
 
     The scan starts at the larger pattern's order: below it that pattern
     does not fit, so coloring every edge in its color is good.  Raises
-    SearchCapError if n_max is reached first.
+    ValueError if n_max is below that start, and SearchCapError if n_max
+    is reached first.
     """
     r, _ = ramsey_number_with_witness(F, G, n_max=n_max, budget=budget, jobs=jobs)
     return r
@@ -515,6 +485,8 @@ def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
     start = 1
     if F.q > 0 and G.q > 0:
         start = max(F.n, G.n)
+    if n_max < start:
+        raise ValueError(f"n_max={n_max} is below {start}, where the scan starts")
     witness = None
     for n in range(start, n_max + 1):
         got = _run_search(n, F, G, budget, jobs)[0]

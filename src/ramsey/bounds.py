@@ -18,7 +18,7 @@ from ramsey.arrowing import (
     ramsey_number,
 )
 from ramsey.enumeration import EnumFilter, enumerate_graphs, isolate_free_graphs
-from ramsey.families import FamilySpec, describe, realize
+from ramsey.families import biclique, cycle, describe, path
 from ramsey.graphs import Graph, canonical_form, disjoint_union, graph6_encode, is_connected
 
 THEOREMS = ("t1", "t2", "l31", "l32", "t3")
@@ -135,10 +135,6 @@ class SweepViolationError(AssertionError):
     """A swept graph beat the theorem's bound (slack < 0)."""
 
 
-def _biclique(k: int) -> Graph:
-    return realize(FamilySpec("biclique", (2, k)))
-
-
 def _is_path_star_or_triangle(g: Graph) -> bool:
     if not is_connected(g):
         return False
@@ -172,7 +168,7 @@ def sweep_params(theorem: str, q_max: Optional[int] = None,
     q_min = 1 if theorem == "t3" else 2
     if q_max < q_min:
         raise ValueError(f"{theorem} sweeps q from {q_min}, so q_max={q_max} leaves no graph")
-    return theorem, q_min, q_max, k, _biclique(k)
+    return theorem, q_min, q_max, k, biclique(2, k)
 
 
 def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
@@ -248,7 +244,7 @@ def check_cited_inequalities(q_max: int = 4, budget: Optional[Budget] = None,
     """
     if q_max > 5:
         raise ValueError("cited-inequality checks are desk-scale: q_max <= 5")
-    C4 = _biclique(2)
+    C4 = biclique(2, 2)
     out: list[InequalityCheck] = []
     # the checks ask for most values several times; key on the class
     known: dict[str, int] = {}
@@ -261,9 +257,7 @@ def check_cited_inequalities(q_max: int = 4, budget: Optional[Budget] = None,
         return known[key]
 
     for n in range(4, q_max + 2):
-        path = realize(FamilySpec("path", (n,)))
-        cyc = realize(FamilySpec("cycle", (n,)))
-        rp, rc = r_of(path), r_of(cyc)
+        rp, rc = r_of(path(n)), r_of(cycle(n))
         out.append(InequalityCheck(f"r(C4,P{n}) <= r(C4,C{n})", rp, rc, rp <= rc))
         out.append(InequalityCheck(f"r(C4,C{n}) <= {n + 2}", rc, n + 2, rc <= n + 2))
 
@@ -283,8 +277,7 @@ def check_cited_inequalities(q_max: int = 4, budget: Optional[Budget] = None,
                 lhs, rhs, lhs <= rhs))
 
     for q in range(1, q_max + 1):
-        star = realize(FamilySpec("biclique", (1, q)))
-        r_star = r_of(star)
+        r_star = r_of(biclique(1, q))
         for tree in enumerate_graphs(EnumFilter(q=q, require_connected=True)):
             if tree.n != q + 1:
                 continue

@@ -226,11 +226,11 @@ def _cmd_witness_check(args) -> int:
     G = graph_from_name(args.blue)
     try:
         with open(args.file) as fp:
-            coloring = coloring_from_text(fp.read())
+            red = coloring_from_text(fp.read())
     except (OSError, ValueError) as e:
         print(f"INVALID: {e}")
         return EXIT_VIOLATION
-    if verify_coloring(coloring, F, G):
+    if verify_coloring(red, F, G):
         print("VALID")
         return EXIT_OK
     print("INVALID: coloring contains a red pattern or a blue pattern")

@@ -11,11 +11,14 @@ Grammar (whitespace-insensitive, family letters case-sensitive):
 (the paw), so the trailing "+e" never collides with union "+".  A g6 literal
 runs to the next whitespace, "+" or end of input ("u" is a valid graph6
 byte, so after a g6 literal the word "u" must be set off by whitespace).
+
+graph_from_name reads a name straight into its Graph: each BASE is built as
+it is read, by path, cycle, complete, biclique or book, or as the constant
+PAW or T3, and a g6 literal is decoded once.  The terms are then joined by
+disjoint union.  describe goes the other way, from a Graph to a name.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from ramsey.graphs import (
     Graph,
@@ -41,66 +44,36 @@ class NameParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parsed symbolic graph name.
-
-    kind is one of "path", "cycle", "complete", "biclique" (covers stars),
-    "book", "paw", "spider3", "graph6", "union"; params holds the integer
-    parameters, parts the sub-specs of a union, literal the graph6 text.
-    """
-
-    kind: str
-    params: tuple[int, ...] = ()
-    parts: tuple["FamilySpec", ...] = ()
-    literal: str = ""
-
-    def __post_init__(self):
-        if any(p < 1 for p in self.params):
-            raise ValueError(f"family parameters must be >= 1: {self.params}")
+def path(n: int) -> Graph:
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def realize(spec: FamilySpec) -> Graph:
-    """Construct the standard graph a spec denotes."""
-    k = spec.kind
-    if k == "path":
-        (n,) = spec.params
-        return from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if k == "cycle":
-        (n,) = spec.params
-        if n < 3:
-            raise GraphError(f"cycle needs n >= 3, got {n}")
-        return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    if k == "complete":
-        (n,) = spec.params
-        return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if k == "biclique":
-        a, b = spec.params
-        return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    if k == "book":
-        # k triangles sharing the common edge (0,1)
-        (pages,) = spec.params
-        edges = [(0, 1)]
-        for t in range(pages):
-            edges += [(0, 2 + t), (1, 2 + t)]
-        return from_edges(pages + 2, edges)
-    if k == "paw":
-        return from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-    if k == "spider3":
-        # the tree on 5 vertices with exactly one vertex of degree 3
-        return from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-    if k == "graph6":
-        return graph6_decode(spec.literal)
-    if k == "union":
-        g = from_edges(0, [])
-        for part in spec.parts:
-            g = disjoint_union(g, realize(part))
-        return g
-    raise ValueError(f"unknown family kind {k!r}")
+def cycle(n: int) -> Graph:
+    if n < 3:
+        raise GraphError(f"cycle needs n >= 3, got {n}")
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def graph_from_name(text: str) -> Graph:
-    return realize(parse_name(text))
+def complete(n: int) -> Graph:
+    return from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def biclique(a: int, b: int) -> Graph:
+    """K_{a,b}; K_{1,b} is the star."""
+    return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def book(pages: int) -> Graph:
+    """B_k: k triangles sharing the common edge (0, 1)."""
+    edges = [(0, 1)]
+    for t in range(pages):
+        edges += [(0, 2 + t), (1, 2 + t)]
+    return from_edges(pages + 2, edges)
+
+
+PAW = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+# the tree on 5 vertices with exactly one vertex of degree 3
+T3 = from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +105,18 @@ class _Scanner:
         if self.i == start:
             raise NameParseError(f"expected {what}", start)
         value = int(self.text[start:self.i])
-        if value < 1:
-            raise NameParseError(f"{what} must be >= 1", start)
+        # every number in a name is at most the vertex cap; check before a
+        # builder lists the edges of, say, K100000
+        if not 1 <= value <= MAX_VERTICES:
+            raise NameParseError(f"{what} must be in 1..{MAX_VERTICES}", start)
         return value
 
 
-def parse_name(text: str) -> FamilySpec:
-    """Parse a graph name like "C4", "K2,3", "3K2", "2K2 u P3" or "g6:Bw"."""
+def graph_from_name(text: str) -> Graph:
+    """The graph a name like "C4", "K2,3", "3K2", "2K2 u P3" or "g6:Bw"
+    denotes."""
     sc = _Scanner(text)
-    parts: list[FamilySpec] = []
+    parts: list[Graph] = []
     sc.skip_ws()
     if not sc.peek():
         raise NameParseError("empty graph name", 0)
@@ -156,26 +132,22 @@ def parse_name(text: str) -> FamilySpec:
         else:
             raise NameParseError(f"expected 'u' or '+' between terms, found {sc.peek()!r}", sc.i)
         sc.skip_ws()
-    spec = parts[0] if len(parts) == 1 else FamilySpec("union", parts=tuple(parts))
-    total = sum(realize(p).n for p in parts)
+    total = sum(p.n for p in parts)
     if total > MAX_VERTICES:
         raise NameParseError(f"name denotes {total} vertices, cap is {MAX_VERTICES}", 0)
-    return spec
+    g = parts[0]
+    for part in parts[1:]:
+        g = disjoint_union(g, part)
+    return g
 
 
-def _parse_term(sc: _Scanner) -> list[FamilySpec]:
+def _parse_term(sc: _Scanner) -> list[Graph]:
     sc.skip_ws()
-    start = sc.i
-    mult = 1
-    if sc.peek().isdigit():
-        mult = sc.take_int("multiplier")
-    base = _parse_base(sc)
-    if mult > MAX_VERTICES:
-        raise NameParseError("multiplier too large", start)
-    return [base] * mult
+    mult = sc.take_int("multiplier") if sc.peek().isdigit() else 1
+    return [_parse_base(sc)] * mult
 
 
-def _parse_base(sc: _Scanner) -> FamilySpec:
+def _parse_base(sc: _Scanner) -> Graph:
     sc.skip_ws()
     start = sc.i
     if sc.startswith("g6:"):
@@ -187,29 +159,28 @@ def _parse_base(sc: _Scanner) -> FamilySpec:
         if not literal:
             raise NameParseError("empty graph6 literal", lit_start)
         try:
-            graph6_decode(literal)
+            return graph6_decode(literal)
         except GraphError as e:
             raise NameParseError(f"bad graph6 literal: {e}", lit_start) from None
-        return FamilySpec("graph6", literal=literal)
     if sc.startswith("paw"):
         sc.i += 3
-        return FamilySpec("paw")
+        return PAW
     if sc.startswith("T3"):
         sc.i += 2
-        return FamilySpec("spider3")
+        return T3
     ch = sc.peek()
     if ch == "P":
         sc.i += 1
-        return FamilySpec("path", (sc.take_int("path length"),))
+        return path(sc.take_int("path length"))
     if ch == "C":
         sc.i += 1
         n = sc.take_int("cycle length")
         if n < 3:
             raise NameParseError(f"cycle C{n} needs n >= 3", start)
-        return FamilySpec("cycle", (n,))
+        return cycle(n)
     if ch == "B":
         sc.i += 1
-        return FamilySpec("book", (sc.take_int("book size"),))
+        return book(sc.take_int("book size"))
     if ch == "K":
         sc.i += 1
         a = sc.take_int("complete-graph order")
@@ -220,44 +191,15 @@ def _parse_base(sc: _Scanner) -> FamilySpec:
                 if (a, b) != (1, 3):
                     raise NameParseError("'+e' is only defined for K1,3", sc.i)
                 sc.i += 2
-                return FamilySpec("paw")
-            return FamilySpec("biclique", (a, b))
-        return FamilySpec("complete", (a,))
+                return PAW
+            return biclique(a, b)
+        return complete(a)
     raise NameParseError(f"unknown family {ch!r}" if ch else "unexpected end of name", start)
 
 
 # ---------------------------------------------------------------------------
-# formatting and naming
+# naming
 # ---------------------------------------------------------------------------
-
-def format_spec(spec: FamilySpec) -> str:
-    """Canonical rendering; parse_name(format_spec(s)) realizes the same graph."""
-    if spec.kind == "union":
-        groups: list[tuple[FamilySpec, int]] = []
-        for part in spec.parts:
-            if groups and groups[-1][0] == part:
-                groups[-1] = (part, groups[-1][1] + 1)
-            else:
-                groups.append((part, 1))
-        return " u ".join((f"{c}" if c > 1 else "") + format_spec(p) for p, c in groups)
-    if spec.kind == "path":
-        return f"P{spec.params[0]}"
-    if spec.kind == "cycle":
-        return f"C{spec.params[0]}"
-    if spec.kind == "complete":
-        return f"K{spec.params[0]}"
-    if spec.kind == "biclique":
-        return f"K{spec.params[0]},{spec.params[1]}"
-    if spec.kind == "book":
-        return f"B{spec.params[0]}"
-    if spec.kind == "paw":
-        return "paw"
-    if spec.kind == "spider3":
-        return "T3"
-    if spec.kind == "graph6":
-        return f"g6:{spec.literal}"
-    raise ValueError(f"unknown family kind {spec.kind!r}")
-
 
 def _name_component(c: Graph) -> str:
     """Family name of a connected (or single-vertex) graph, falling back to
@@ -270,16 +212,14 @@ def _name_component(c: Graph) -> str:
         return f"P{n}"
     if n >= 4 and q == n and all(d == 2 for d in degs) and is_connected(c):
         return f"C{n}"
-    if n >= 4 and q == n - 1 and degs[-1] == n - 1:
-        return f"K1,{n - 1}"
-    if n == 4 and q == 4 and isomorphic(c, realize(FamilySpec("paw"))):
+    if n == 4 and q == 4 and isomorphic(c, PAW):
         return "paw"
-    if n == 5 and q == 4 and isomorphic(c, realize(FamilySpec("spider3"))):
+    if n == 5 and q == 4 and isomorphic(c, T3):
         return "T3"
     ab = as_biclique(c)
     if ab:
         return f"K{ab[0]},{ab[1]}"
-    if n >= 4 and q == 2 * (n - 2) + 1 and isomorphic(c, realize(FamilySpec("book", (n - 2,)))):
+    if n >= 4 and q == 2 * (n - 2) + 1 and isomorphic(c, book(n - 2)):
         return f"B{n - 2}"
     return "g6:" + graph6_encode(canonical_form(c))
 

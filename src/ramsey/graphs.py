@@ -115,18 +115,6 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj)
 
 
-def degree_profile(g: Graph) -> tuple[int, int, bool, bool]:
-    """(max degree, min degree, has isolated vertex, connected).
-
-    An edgeless graph has max = min = 0; the empty graph counts as connected.
-    """
-    if g.n == 0:
-        return (0, 0, False, True)
-    degs = g.degrees()
-    dmax, dmin = max(degs), min(degs)
-    return (dmax, dmin, dmin == 0, is_connected(g))
-
-
 def is_connected(g: Graph) -> bool:
     """The empty graph and K_1 count as connected."""
     return len(_component_masks(g)) <= 1
@@ -166,20 +154,6 @@ def components(g: Graph) -> list[Graph]:
     return out
 
 
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Remove v and its incident edges; remaining vertices keep their
-    relative order."""
-    if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} out of range for n={g.n}")
-    keep = [u for u in range(g.n) if u != v]
-    index = {u: i for i, u in enumerate(keep)}
-    adj = [0] * (g.n - 1)
-    for u in keep:
-        for w in _bits(g.adj[u] & ~(1 << v)):
-            adj[index[u]] |= 1 << index[w]
-    return Graph(g.n - 1, adj)
-
-
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Disjoint union; b's vertices are shifted up by a.n."""
     n = a.n + b.n
@@ -187,6 +161,12 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
         raise GraphError(f"union has {n} vertices, cap is {MAX_VERTICES}")
     adj = list(a.adj) + [row << a.n for row in b.adj]
     return Graph(n, adj)
+
+
+def complement(g: Graph) -> Graph:
+    """The graph on g's vertices whose edges are the pairs g leaves out."""
+    full = (1 << g.n) - 1
+    return Graph(g.n, [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)])
 
 
 # ---------------------------------------------------------------------------

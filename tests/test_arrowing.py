@@ -6,7 +6,6 @@ import pytest
 from ramsey.arrowing import (
     Budget,
     BudgetExceededError,
-    EdgeColoring,
     SearchCapError,
     arrows,
     coloring_from_text,
@@ -21,7 +20,7 @@ from ramsey.arrowing import (
 from ramsey import arrowing
 from ramsey.families import graph_from_name
 from ramsey.enumeration import isolate_free_graphs
-from ramsey.graphs import embeds, from_edges, lex_edges
+from ramsey.graphs import complement, embeds, from_edges, lex_edges
 
 from brute import brute_embeds, brute_good_coloring_exists, brute_graphs, brute_has_matching
 
@@ -36,17 +35,17 @@ K23 = graph_from_name("K2,3")
 BULL = from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
 
 
-class TestEdgeColoring:
-    def test_from_red_total(self):
-        c = EdgeColoring.from_red(3, [(0, 1)])
-        assert c.red.edges() == [(0, 1)]
-        assert c.blue_graph().edges() == [(0, 2), (1, 2)]
+class TestColoring:
+    def test_from_text_total(self):
+        red = coloring_from_text("n=3\nred=0-1\n")
+        assert red.edges() == [(0, 1)]
+        assert complement(red).edges() == [(0, 2), (1, 2)]
         # a pair listed twice, either way round, is one red edge
-        assert EdgeColoring.from_red(3, [(0, 1), (1, 0), (0, 1)]) == c
+        assert coloring_from_text("n=3\nred=0-1,1-0,0-1\n") == red
 
     def test_red_blue_graphs_partition(self):
-        c = EdgeColoring.from_red(5, [(0, 1), (2, 3), (1, 4)])
-        R, B = c.red, c.blue_graph()
+        R = coloring_from_text("n=5\nred=0-1,2-3,1-4\n")
+        B = complement(R)
         assert R.q + B.q == 10
         for i, j in lex_edges(5):
             assert R.has_edge(i, j) != B.has_edge(i, j)
@@ -55,16 +54,14 @@ class TestEdgeColoring:
 class TestVerifyColoring:
     def test_red_star_blue_rest_on_k5(self):
         # blue side is a K4 on the leaves, which contains 2K2
-        c = EdgeColoring.from_red(5, [(0, i) for i in range(1, 5)])
-        assert verify_coloring(c, C4, M2) is False
+        red = from_edges(5, [(0, i) for i in range(1, 5)])
+        assert verify_coloring(red, C4, M2) is False
 
     def test_all_blue_k3(self):
-        c = EdgeColoring.from_red(3, [])
-        assert verify_coloring(c, C4, K3) is False
+        assert verify_coloring(from_edges(3, []), C4, K3) is False
 
     def test_all_red_k3(self):
-        c = EdgeColoring.from_red(3, lex_edges(3))
-        assert verify_coloring(c, C4, K3) is True
+        assert verify_coloring(from_edges(3, lex_edges(3)), C4, K3) is True
 
 
 class TestStarWitness:
@@ -74,7 +71,7 @@ class TestStarWitness:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
     def test_valid_for_matchings(self, q):
-        w = EdgeColoring.from_red(2 * q, [(0, i) for i in range(1, 2 * q)])
+        w = from_edges(2 * q, [(0, i) for i in range(1, 2 * q)])
         m = graph_from_name(f"{q}K2")
         assert verify_coloring(w, C4, m)
 
@@ -268,7 +265,7 @@ class TestGenericCheck:
 
     @pytest.mark.parametrize("name,kind", [
         ("C4", "biclique"), ("K2,3", "biclique"), ("3K2", "matching"),
-        ("K1,3", "star"), ("paw", "generic"),
+        ("K1,3", "star"), ("P3", "star"), ("paw", "generic"),
     ])
     def test_dispatch(self, name, kind):
         # the benchmark tracer names check kinds after these functions
@@ -358,7 +355,7 @@ class TestEveryGraphOracle:
         pats = [g for q in range(1, 5) for g in isolate_free_graphs(q)]
         assert len(pats) == 19
         hosts = graphs_by_order[n]
-        blues = [EdgeColoring(h).blue_graph() for h in hosts]
+        blues = [complement(h) for h in hosts]
         # bit j: the pattern is in host j, or in its complement
         in_red = [sum(1 << j for j, h in enumerate(hosts) if embeds(p, h)) for p in pats]
         in_blue = [sum(1 << j for j, b in enumerate(blues) if embeds(p, b)) for p in pats]
@@ -402,14 +399,14 @@ class TestRamseyNumber:
 
 class TestWitnessFiles:
     def test_round_trip(self):
-        c = EdgeColoring.from_red(5, [(0, 1), (2, 4)])
-        text = coloring_to_text(c)
+        red = from_edges(5, [(0, 1), (2, 4)])
+        text = coloring_to_text(red)
         assert text == "n=5\nred=0-1,2-4\n"
-        assert coloring_from_text(text) == c
+        assert coloring_from_text(text) == red
 
     def test_empty_red(self):
-        c = EdgeColoring.from_red(3, [])
-        assert coloring_from_text(coloring_to_text(c)) == c
+        red = from_edges(3, [])
+        assert coloring_from_text(coloring_to_text(red)) == red
 
     @pytest.mark.parametrize("bad", [
         "", "n=5", "n=x\nred=", "n=3\nred=0-0", "n=3\nred=5-1", "n=3\nblue=0-1",

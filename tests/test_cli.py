@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ramsey.cli import EXIT_BUDGET, EXIT_USAGE, EXIT_VIOLATION, main
+from ramsey import arrowing
+from ramsey.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
 @pytest.mark.parametrize("n", [33, 100000])
@@ -12,6 +13,44 @@ def test_witness_check_rejects_oversized_order(tmp_path, capsys, n):
     code = main(["witness-check", "--file", str(path), "--red", "C4", "--blue", "K3"])
     assert code == EXIT_VIOLATION
     assert capsys.readouterr().out.startswith("INVALID")
+
+
+def test_witness_check_takes_a_pair_listed_twice(tmp_path, capsys):
+    # the red star of K4 with one leaf listed again, either way round: no
+    # red C4, and blue is a triangle, so no blue 2K2
+    path = tmp_path / "twice.witness"
+    path.write_text("n=4\nred=0-1,0-2,0-3,1-0,0-1\n")
+    code = main(["witness-check", "--file", str(path), "--red", "C4", "--blue", "2K2"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "VALID\n"
+
+
+@pytest.mark.parametrize("max_n", ["0", "3"])
+def test_ramsey_rejects_max_n_below_the_scan_start(tmp_path, capsys, max_n):
+    # r(C4, K3) is scanned from n = 4, the larger pattern's order
+    path = tmp_path / "w.witness"
+    code = main(["ramsey", "--red", "C4", "--blue", "K3", "--max-n", max_n,
+                 "--witness", str(path)])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "where the scan starts" in err
+    assert not path.exists()
+
+
+def test_ramsey_max_n_reached_exits_3(monkeypatch, capsys):
+    searched = []
+    run_search = arrowing._run_search
+
+    def recording_run_search(n, *args):
+        searched.append(n)
+        return run_search(n, *args)
+
+    monkeypatch.setattr(arrowing, "_run_search", recording_run_search)
+    code = main(["ramsey", "--red", "C4", "--blue", "K3", "--max-n", "5"])
+    assert code == EXIT_BUDGET
+    assert searched == [4, 5]
+    assert "r(F,G) > 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [-1, 33])

@@ -1,15 +1,8 @@
 import pytest
 
-from ramsey.families import (
-    FamilySpec,
-    NameParseError,
-    describe,
-    format_spec,
-    graph_from_name,
-    parse_name,
-    realize,
-)
-from ramsey.graphs import GraphError, from_edges, isomorphic
+from ramsey.enumeration import isolate_free_graphs
+from ramsey.families import NameParseError, describe, graph_from_name
+from ramsey.graphs import GraphError, canonical_form, from_edges, isomorphic
 
 # hand-built fixtures for every name in the exact-value table
 HAND_BUILT = {
@@ -99,26 +92,16 @@ class TestGrammar:
         g = graph_from_name("g6:Bw u K2")
         assert isomorphic(g, graph_from_name("K3 u K2"))
 
-    @pytest.mark.parametrize("bad", ["", "Q4", "K", "C2", "P0", "K2 x K3", "g6:", "K2,2+e", "0K2"])
+    @pytest.mark.parametrize("bad", ["", "Q4", "K", "C2", "P0", "K2 x K3", "g6:", "K2,2+e", "0K2",
+                                     "K33", "P100000", "33K2"])
     def test_syntax_errors_carry_position(self, bad):
         with pytest.raises(NameParseError) as exc:
-            parse_name(bad)
+            graph_from_name(bad)
         assert exc.value.position >= 0
 
     def test_family_letters_case_sensitive(self):
         with pytest.raises(NameParseError):
-            parse_name("k3")
-
-
-class TestFormat:
-    @pytest.mark.parametrize("name", ["C4", "K2,3", "3K2", "2K2 u P3", "paw", "T3", "B2", "g6:Bw"])
-    def test_round_trip(self, name):
-        spec = parse_name(name)
-        again = parse_name(format_spec(spec))
-        assert isomorphic(realize(spec), realize(again))
-
-    def test_multiplier_grouping(self):
-        assert format_spec(parse_name("K2 u K2 u K2")) == "3K2"
+            graph_from_name("k3")
 
 
 class TestDescribe:
@@ -130,6 +113,19 @@ class TestDescribe:
         g = graph_from_name(name)
         d = describe(g)
         assert isomorphic(graph_from_name(d), g)
+
+    def test_every_class_parses_back(self):
+        # every isolate-free class with q <= 6; 41 of the 113 names use a
+        # g6 literal for at least one component
+        named = [(g, describe(g)) for q in range(1, 7) for g in isolate_free_graphs(q)]
+        assert len(named) == 113
+        assert sum("g6:" in name for _, name in named) == 41
+        for g, name in named:
+            assert canonical_form(graph_from_name(name)) == g, name
+
+    def test_groups_equal_components(self):
+        assert describe(graph_from_name("K2 u K2 u K2")) == "3K2"
+        assert describe(graph_from_name("P3 u K2 u P3")) == "K2 u 2P3"
 
     def test_prefers_plain_names(self):
         assert describe(graph_from_name("K2,2")) == "C4"

@@ -11,8 +11,6 @@ from ramsey.graphs import (
     GraphError,
     canonical_form,
     components,
-    degree_profile,
-    delete_vertex,
     disjoint_union,
     embeds,
     from_edges,
@@ -82,45 +80,6 @@ class TestConstruction:
 
     def test_edges_lexicographic(self):
         assert C4.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
-
-
-class TestDegreeProfile:
-    @pytest.mark.parametrize("g,expected", [
-        (K3, (2, 2, False, True)),
-        (M2, (1, 1, False, False)),
-        (STAR4, (4, 1, False, True)),
-        (from_edges(3, []), (0, 0, True, False)),
-        (from_edges(0, []), (0, 0, False, True)),
-    ])
-    def test_fixtures(self, g, expected):
-        assert degree_profile(g) == expected
-
-
-class TestDeleteVertex:
-    def test_k3_drops_to_edge(self):
-        h = delete_vertex(K3, 0)
-        assert (h.n, h.q) == (2, 1)
-
-    def test_star_center_isolates_leaves(self):
-        star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        h = delete_vertex(star, 0)
-        assert (h.n, h.q) == (3, 0)
-
-    def test_path_interior(self):
-        h = delete_vertex(P4, 1)
-        assert (h.n, h.q) == (3, 1)
-        assert sorted(h.degrees()) == [0, 1, 1]
-
-    def test_out_of_range(self):
-        with pytest.raises(GraphError):
-            delete_vertex(K3, 3)
-
-    def test_q_drops_by_degree(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            g = random_graph(rng, rng.randint(1, 9))
-            v = rng.randrange(g.n)
-            assert delete_vertex(g, v).q == g.q - g.degree(v)
 
 
 class TestDisjointUnion:
