@@ -104,6 +104,14 @@ class TestGrammar:
             graph_from_name("k3")
 
 
+class TestFormat:
+    @pytest.mark.parametrize("name", ["C4", "K2,3", "3K2", "2K2 u P3", "paw", "T3", "B2", "g6:Bw"])
+    def test_round_trip(self, name):
+        g = graph_from_name(name)
+        again = graph_from_name(describe(g))
+        assert isomorphic(g, again)
+
+
 class TestDescribe:
     @pytest.mark.parametrize("name", [
         "C4", "K3", "K2,3", "3K2", "2K2 u P3", "K2 u C3", "paw", "T3",
