@@ -47,7 +47,9 @@ from ramsey.graphs import (
     MAX_VERTICES,
     Graph,
     GraphError,
+    _as_matching,
     _bits,
+    _has_matching,
     as_biclique,
     complement,
     embed_plan,
@@ -100,8 +102,14 @@ class ArrowingOutcome:
 
 
 def verify_coloring(red: Graph, F: Graph, G: Graph) -> bool:
-    """Engine-independent check that the coloring with red graph red is
-    good: no F in red and no G in its complement, the blue graph."""
+    """Check that the coloring with red graph red is good: no F in red and
+    no G in its complement, the blue graph.
+
+    It runs graphs.embeds, not the search's anchored checks.  The only code
+    it shares with them is the matching kernel, which check_matching also
+    calls; brute_has_matching and brute_embeds in the tests and perfbench's
+    networkx cross-check guard that kernel.
+    """
     return not embeds(F, red) and not embeds(G, complement(red))
 
 
@@ -144,56 +152,13 @@ def coloring_from_text(text: str) -> Graph:
 # anchored containment checks
 # ---------------------------------------------------------------------------
 
-def _as_matching(g: Graph) -> Optional[int]:
-    """m if g is mK_2."""
-    if g.q >= 1 and g.n == 2 * g.q and all(d == 1 for d in g.degrees()):
-        return g.q
-    return None
-
-
-def _has_matching(adj: list[int], avail: int, need: int) -> bool:
-    """Decision: avail's induced subgraph has a matching of >= need edges.
-
-    Branches only on the neighbours of one vertex v of least positive
-    degree.  That loses nothing: if a maximum matching M misses v, then v's
-    neighbour w is matched in M (else M + vw is larger), and swapping w's
-    edge for vw gives a maximum matching that covers v.
-    """
-    if need <= 0:
-        return True
-    if avail.bit_count() < 2 * need:
-        return False
-    # one scan: drop vertices with no available neighbour (they never
-    # match), keep the one with the fewest, stop early at a leaf
-    best_nb = 0
-    best_deg = 32  # above any degree, since n <= MAX_VERTICES = 32
-    rest = avail
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        nb = adj[bit.bit_length() - 1] & avail
-        if not nb:
-            avail ^= bit
-            continue
-        d = nb.bit_count()
-        if d < best_deg:
-            vbit = bit
-            best_nb = nb
-            best_deg = d
-            if d == 1:
-                break
-    while best_nb:
-        wbit = best_nb & -best_nb
-        best_nb ^= wbit
-        if _has_matching(adj, avail ^ vbit ^ wbit, need - 1):
-            return True
-    return False
-
-
 def _make_check(pat: Graph):
     """Build check(adj, n, u, v) -> True iff pat occurs in the colored graph
     after edge (u, v) was just added to it.  Exact, used for pruning and,
-    cumulatively, for leaf validity.
+    cumulatively, for leaf validity.  The matching kernel, as_biclique and
+    the plan kernel live in graphs.py, whose containment section comment
+    describes them; the closures here anchor them at (u, v), and the star
+    and K_{2,k} closures count degrees and common neighbours inline.
 
     Precondition: the color class without (u, v) has no copy of pat, which
     holds when every edge of the class was checked as it was added.  The

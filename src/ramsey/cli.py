@@ -29,7 +29,7 @@ from ramsey.arrowing import (
 from ramsey.bounds import BoundReport, SweepViolationError, sweep, sweep_params
 from ramsey.enumeration import EnumFilter, enumerate_graphs
 from ramsey.families import NameParseError, graph_from_name
-from ramsey.graphs import GraphError, graph6_encode
+from ramsey.graphs import GraphError, embeds, graph6_encode
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -233,7 +233,11 @@ def _cmd_witness_check(args) -> int:
     if verify_coloring(red, F, G):
         print("VALID")
         return EXIT_OK
-    print("INVALID: coloring contains a red pattern or a blue pattern")
+    # verify_coloring does not say which colour failed; ask red again
+    if embeds(F, red):
+        print(f"INVALID: red {args.red}")
+    else:
+        print(f"INVALID: blue {args.blue}")
     return EXIT_VIOLATION
 
 

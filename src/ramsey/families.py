@@ -201,9 +201,9 @@ def _parse_base(sc: _Scanner) -> Graph:
 # naming
 # ---------------------------------------------------------------------------
 
-def _name_component(c: Graph) -> str:
+def _name_component(c: Graph, g6: str) -> str:
     """Family name of a connected (or single-vertex) graph, falling back to
-    its canonical graph6."""
+    g6, its canonical graph6."""
     n, q = c.n, c.q
     degs = sorted(c.degrees())
     if q == n * (n - 1) // 2:
@@ -221,7 +221,7 @@ def _name_component(c: Graph) -> str:
         return f"K{ab[0]},{ab[1]}"
     if n >= 4 and q == 2 * (n - 2) + 1 and isomorphic(c, book(n - 2)):
         return f"B{n - 2}"
-    return "g6:" + graph6_encode(canonical_form(c))
+    return "g6:" + g6
 
 
 def describe(g: Graph) -> str:
@@ -232,10 +232,11 @@ def describe(g: Graph) -> str:
     if g.n == 0:
         return "g6:" + graph6_encode(g)
     comps = components(g)
-    named = [(c.q, c.n, graph6_encode(canonical_form(c)), _name_component(c)) for c in comps]
-    named.sort(key=lambda t: (t[0], t[1], t[2]))
+    keyed = sorted([(c.q, c.n, graph6_encode(canonical_form(c)), c) for c in comps],
+                   key=lambda t: t[:3])
     groups: list[tuple[str, int]] = []
-    for _, _, _, name in named:
+    for _, _, g6, c in keyed:
+        name = _name_component(c, g6)
         if groups and groups[-1][0] == name:
             groups[-1] = (name, groups[-1][1] + 1)
         else:

@@ -349,19 +349,28 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]], set[tuple[i
 # ---------------------------------------------------------------------------
 # subgraph containment (non-induced monomorphism)
 #
-# Every containment test in the package runs one kernel: a plan fixes the
-# order in which the pattern's vertices are placed, and extend_embedding
-# backtracks over host bitmask rows along it.  Each plan step lists the
-# positions of the vertex's neighbours placed before it, so a candidate
-# image is one AND of their images' rows, and the vertex's degree, which a
-# candidate must reach.  embed_plan(h) walks components largest first, each
-# breadth-first from its highest-degree vertex, so every later vertex of a
-# component has a placed neighbour.  embed_plan(h, (a, b)) puts a and b
-# first and their component before the rest; a caller that maps a and b
-# onto a host edge (u, v) asks whether h occurs through that edge, which is
-# what the search's anchored checks need.  embeds(h, g) first compares
-# degree sequences (pigeonhole: h's i-th largest degree must not exceed
-# g's, or no injection can respect degrees) and only then backtracks.
+# embeds(h, g) is the one containment test in the package.  After its size
+# guards it dispatches on h's shape:
+# - mK2 (_as_matching): g has m disjoint edges, decided by the matching
+#   kernel _has_matching, which the search's check_matching shares;
+# - K_{2,k}, k >= 2 (as_biclique): some pair of g's vertices has k common
+#   neighbours, one AND per pair;
+# - anything else: degree sequences first (pigeonhole: h's i-th largest
+#   degree must not exceed g's, or no injection can respect degrees), then
+#   the plan kernel.  A star needs no branch of its own, since the
+#   pigeonhole decides it and the kernel takes its first candidate.
+#
+# The plan kernel: a plan fixes the order in which the pattern's vertices
+# are placed, and extend_embedding backtracks over host bitmask rows along
+# it.  Each plan step lists the positions of the vertex's neighbours placed
+# before it, so a candidate image is one AND of their images' rows, and the
+# vertex's degree, which a candidate must reach.  embed_plan(h) walks
+# components largest first, each breadth-first from its highest-degree
+# vertex, so every later vertex of a component has a placed neighbour.
+# embed_plan(h, (a, b)) puts a and b first and their component before the
+# rest; a caller that maps a and b onto a host edge (u, v) asks whether h
+# occurs through that edge, which is what the search's generic anchored
+# check needs.
 # ---------------------------------------------------------------------------
 
 Plan = list[tuple[list[int], int]]
@@ -416,10 +425,73 @@ def extend_embedding(adj: Sequence[int], free: int, plan: Plan, img: list[int], 
     return False
 
 
+def _as_matching(g: Graph) -> int | None:
+    """m if g is mK_2."""
+    if g.q >= 1 and g.n == 2 * g.q and all(d == 1 for d in g.degrees()):
+        return g.q
+    return None
+
+
+def _has_matching(adj: Sequence[int], avail: int, need: int) -> bool:
+    """Decision: avail's induced subgraph has a matching of >= need edges.
+
+    Branches only on the neighbours of one vertex v of least positive
+    degree.  That loses nothing: if a maximum matching M misses v, then v's
+    neighbour w is matched in M (else M + vw is larger), and swapping w's
+    edge for vw gives a maximum matching that covers v.
+    """
+    if need <= 0:
+        return True
+    if avail.bit_count() < 2 * need:
+        return False
+    # one scan: drop vertices with no available neighbour (they never
+    # match), keep the one with the fewest, stop early at a leaf
+    best_nb = 0
+    best_deg = 32  # above any degree, since n <= MAX_VERTICES = 32
+    rest = avail
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        nb = adj[bit.bit_length() - 1] & avail
+        if not nb:
+            avail ^= bit
+            continue
+        d = nb.bit_count()
+        if d < best_deg:
+            vbit = bit
+            best_nb = nb
+            best_deg = d
+            if d == 1:
+                break
+    while best_nb:
+        wbit = best_nb & -best_nb
+        best_nb ^= wbit
+        if _has_matching(adj, avail ^ vbit ^ wbit, need - 1):
+            return True
+    return False
+
+
 def embeds(h: Graph, g: Graph) -> bool:
     """True iff some injective vertex map carries every edge of h onto an
-    edge of g (subgraph containment, not induced)."""
+    edge of g (subgraph containment, not induced).
+
+    A matching goes to the matching kernel and K_{2,k} to a common
+    neighbour count; every other h to the degree pigeonhole and the plan
+    kernel.  The containment section comment above gives the details.
+    """
     if h.n > g.n or h.q > g.q:
+        return False
+    m = _as_matching(h)
+    if m is not None:
+        return _has_matching(g.adj, (1 << g.n) - 1, m)
+    ab = as_biclique(h)
+    if ab is not None and ab[0] == 2:
+        # K_{2,k} is two vertices with k common neighbours
+        k = ab[1]
+        for u, row in enumerate(g.adj):
+            for other in g.adj[u + 1:]:
+                if (row & other).bit_count() >= k:
+                    return True
         return False
     h_degs = sorted([row.bit_count() for row in h.adj], reverse=True)
     g_degs = sorted([row.bit_count() for row in g.adj], reverse=True)

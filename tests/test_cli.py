@@ -25,6 +25,26 @@ def test_witness_check_takes_a_pair_listed_twice(tmp_path, capsys):
     assert capsys.readouterr().out == "VALID\n"
 
 
+# the committed r(C4, 2K3) = 8 witness on K7: red has a vertex of degree 4,
+# and r(C4, 3K2) = r(C4, K3) = 7, so its C4-free red leaves a blue 3K2 and
+# a blue K3
+C4_2K3_WITNESS = "n=7\nred=0-1,0-2,0-3,0-4,1-2,1-5,1-6,3-4,5-6\n"
+
+
+@pytest.mark.parametrize("red,blue,code,out", [
+    ("C4", "2K3", EXIT_OK, "VALID"),
+    ("P3", "2K3", EXIT_VIOLATION, "INVALID: red P3"),
+    ("K1,4", "K3", EXIT_VIOLATION, "INVALID: red K1,4"),
+    ("C4", "3K2", EXIT_VIOLATION, "INVALID: blue 3K2"),
+    ("C4", "K3", EXIT_VIOLATION, "INVALID: blue K3"),
+])
+def test_witness_check_names_the_failing_colour(tmp_path, capsys, red, blue, code, out):
+    path = tmp_path / "c4_2k3.witness"
+    path.write_text(C4_2K3_WITNESS)
+    assert main(["witness-check", "--file", str(path), "--red", red, "--blue", blue]) == code
+    assert capsys.readouterr().out == out + "\n"
+
+
 @pytest.mark.parametrize("max_n", ["0", "3"])
 def test_ramsey_rejects_max_n_below_the_scan_start(tmp_path, capsys, max_n):
     # r(C4, K3) is scanned from n = 4, the larger pattern's order

@@ -1,8 +1,9 @@
 import pytest
 
+from ramsey import families
 from ramsey.enumeration import isolate_free_graphs
 from ramsey.families import NameParseError, describe, graph_from_name
-from ramsey.graphs import GraphError, canonical_form, from_edges, isomorphic
+from ramsey.graphs import GraphError, canonical_form, components, from_edges, isomorphic
 
 # hand-built fixtures for every name in the exact-value table
 HAND_BUILT = {
@@ -130,6 +131,22 @@ class TestDescribe:
         assert sum("g6:" in name for _, name in named) == 41
         for g, name in named:
             assert canonical_form(graph_from_name(name)) == g, name
+
+    def test_one_canonical_form_per_component(self, monkeypatch):
+        # the sort key's graph6 doubles as a g6 component's name, so the 211
+        # components of the 113 classes cost 211 canonical forms, not 252
+        classes = [g for q in range(1, 7) for g in isolate_free_graphs(q)]
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return canonical_form(g)
+
+        monkeypatch.setattr(families, "canonical_form", counted)
+        for g in classes:
+            describe(g)
+        assert len(classes) == 113
+        assert sum(len(components(g)) for g in classes) == len(calls) == 211
 
     def test_groups_equal_components(self):
         assert describe(graph_from_name("K2 u K2 u K2")) == "3K2"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ramsey import graphs
 from ramsey.graphs import (
     Graph,
     _find,
@@ -249,6 +250,50 @@ class TestEmbeds:
         for h in pool:
             for g in pool:
                 assert embeds(h, g) == brute_embeds(h, g), (h, g)
+
+    # the shapes embeds dispatches on, and 2K2 u K1, a near-matching that
+    # takes the plan kernel
+    SHAPES = ["K2", "2K2", "3K2", "K2,2", "K2,3", "K2,4", "2K2 u K1"]
+
+    def test_shapes_agree_with_brute_force(self):
+        pats = [graph_from_name(name) for name in self.SHAPES]
+        for n in range(7):
+            for g in brute_graphs(n):
+                for h in pats:
+                    assert embeds(h, g) == brute_embeds(h, g), (h, g)
+
+    @pytest.mark.parametrize("name,kernels", [
+        ("3K2", {"_has_matching"}), ("K2,3", set()),
+        ("2K2 u K1", {"extend_embedding"}), ("P3", {"extend_embedding"}),
+    ])
+    def test_shape_dispatch(self, monkeypatch, name, kernels):
+        called = set()
+        for fn in ("_has_matching", "extend_embedding"):
+            def recorded(*args, _fn=getattr(graphs, fn), _name=fn):
+                called.add(_name)
+                return _fn(*args)
+            monkeypatch.setattr(graphs, fn, recorded)
+        assert embeds(graph_from_name(name), graph_from_name("K6"))
+        assert called == kernels
+
+    @pytest.mark.parametrize("name", ["C4", "K2,3", "matching"])
+    def test_shapes_agree_with_networkx(self, name):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+        rng = random.Random(name)
+        verdicts = set()
+        # GraphMatcher takes seconds to rule out a matching in a host of
+        # middling density, so the hosts are sparse or dense
+        for _ in range(16):
+            n = rng.randint(10, 12)
+            g = random_graph(rng, n, rng.choice([0.1, 0.45]))
+            h = graph_from_name(f"{n // 2}K2" if name == "matching" else name)
+            host = nx.Graph(g.edges())
+            host.add_nodes_from(range(g.n))
+            want = GraphMatcher(host, nx.Graph(h.edges())).subgraph_is_monomorphic()
+            assert embeds(h, g) == want, (h, g)
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestAsBiclique:
