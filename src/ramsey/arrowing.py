@@ -34,14 +34,19 @@ lex-greatest relabelling of every good coloring, so the reduced tree
 holds a good coloring iff one exists.  The DFS meets colorings in falling
 lex order, so the first it finds is the lex-greatest good coloring, with
 or without the breaks.
+
+The process pool lives for one scan: one arrows call, or one
+ramsey_number scan over every order n.  concurrent.futures is imported
+when the first pool is opened, so a run with jobs=1 never loads it.  A
+time budget is one deadline per order n, shared by the split and every
+pool task.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ramsey.graphs import (
     MAX_VERTICES,
@@ -61,6 +66,11 @@ from ramsey.graphs import (
 
 _CHECK_MASK = 0xFFF  # budget clock checked every 4096 nodes
 
+# bound from concurrent.futures by the first scan that asks for a pool,
+# unless a stand-in was put here first; the import pulls in multiprocessing,
+# pickle, socket and logging, which a sequential run never needs
+ProcessPoolExecutor = None
+
 
 class BudgetExceededError(RuntimeError):
     """Search ran out of its node or time budget before finishing.
@@ -78,16 +88,21 @@ class SearchCapError(RuntimeError):
     """ramsey_number hit its n_max cap without the arrowing turning true."""
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Limits for one search; None means unlimited."""
+class Budget(NamedTuple):
+    """Limits for the search of one order n; None means unlimited.
+
+    max_seconds is one deadline, counted from the start of that search and
+    shared by the split and every pool task, which read the same
+    system-wide monotonic clock; a task that starts after it gives up at
+    once.  max_nodes caps the split and each pool task separately, so a
+    parallel search may visit more nodes in all.
+    """
 
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class ArrowingOutcome:
+class ArrowingOutcome(NamedTuple):
     """Result of an arrowing decision.
 
     witness is present exactly when arrows is False: the red graph of a
@@ -252,7 +267,8 @@ def _lex_violated(red: list[int], u: int, v: int) -> bool:
 
 
 def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
-            prefix: Optional[list[int]] = None, split: Optional[list] = None):
+            prefix: Optional[list[int]] = None, split: Optional[list] = None,
+            t0: Optional[float] = None):
     """DFS for a good coloring of K_n.
 
     Both symmetry breaks of the module docstring apply: vertex 0's edges
@@ -274,6 +290,10 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
     here, and the anchored checks of later edges assume neither color
     class of the prefix holds its pattern, so prefixes must come from a
     split, which checks each edge as it adds it.
+
+    t0, when given, is the time.monotonic() instant the budget's
+    max_seconds counts from, so that the split and every subtree of one
+    order n share a deadline; by default the clock starts here.
 
     Patterns with no edges, and pairs of which neither fits in K_n, are
     decided by _run_search before it gets here.
@@ -303,7 +323,8 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
 
     nodes = 0
     split_nodes = 0
-    t0 = time.monotonic()
+    if t0 is None:
+        t0 = time.monotonic()
     max_nodes = budget.max_nodes if budget else None
     max_seconds = budget.max_seconds if budget else None
 
@@ -353,23 +374,43 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
         col[k] = -1
         return False
 
-    if max_nodes is not None and max_nodes <= 0:
+    # a pool task can start after the shared deadline has passed
+    if ((max_nodes is not None and max_nodes <= 0)
+            or (max_seconds is not None and time.monotonic() - t0 > max_seconds)):
         bail()
     found = dfs(start_k)
     return (red if found else None), nodes
 
 
-def _search_task(n, F, G, budget, prefix):
+def _search_task(n, F, G, budget, prefix, t0):
     """Pool task: (red rows or None, nodes, whether the budget ran out)."""
     try:
-        return (*_search(n, F, G, budget, prefix=prefix), False)
+        return (*_search(n, F, G, budget, prefix=prefix, t0=t0), False)
     except BudgetExceededError as e:
         return None, e.nodes, True
 
 
-def _run_search(n, F, G, budget, jobs):
+def _pool(jobs: int):
+    """The context a scan searches in: a process pool of jobs workers,
+    or, for jobs == 1, a null context whose value is None.  The first
+    pool imports concurrent.futures."""
+    if jobs <= 1:
+        return contextlib.nullcontext()
+    global ProcessPoolExecutor
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
+def _run_search(n, F, G, budget, pool):
     """(witness or None, nodes, seconds) for K_n against (F, G); the
-    witness is a good coloring's red graph."""
+    witness is a good coloring's red graph.
+
+    pool is the caller's process pool, or None to search in this process;
+    it lives for the caller's whole scan, so one pool serves every order
+    n.  The budget's time limit is one deadline from this call's start,
+    shared by the split and every pool task.
+    """
     if not 0 <= n <= MAX_VERTICES:
         raise GraphError(f"order {n} outside 0..{MAX_VERTICES}")
     t0 = time.monotonic()
@@ -380,34 +421,34 @@ def _run_search(n, F, G, budget, jobs):
     if F.q > 0 and F.n > n and G.q > 0 and G.n > n:
         # nothing fits; any coloring is good
         return from_edges(n, lex_edges(n)), 0, time.monotonic() - t0
-    if jobs <= 1 or n < 4:
-        red, nodes = _search(n, F, G, budget)
+    if pool is None or n < 4:
+        red, nodes = _search(n, F, G, budget, t0=t0)
         witness = Graph(n, red) if red is not None else None
         return witness, nodes, time.monotonic() - t0
 
     prefixes = []
-    tail_nodes = _search(n, F, G, budget, split=prefixes)[1] - sum(lead for lead, _ in prefixes)
+    tail_nodes = (_search(n, F, G, budget, split=prefixes, t0=t0)[1]
+                  - sum(lead for lead, _ in prefixes))
     if not prefixes:
         return None, tail_nodes, time.monotonic() - t0
     total_nodes = 0
     witness = None
     budget_hit = False
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_search_task, n, F, G, budget, p) for _, p in prefixes]
-        # consume in task order: the first subtree with a good coloring is
-        # the one sequential DFS would reach first
-        for (lead_nodes, _), fut in zip(prefixes, futures):
-            red, nodes, budget_hit = fut.result()
-            total_nodes += lead_nodes + nodes
-            if budget_hit:
-                break
-            if red is not None:
-                witness = Graph(n, red)
-                break
-        else:
-            total_nodes += tail_nodes
-        for fut in futures:
-            fut.cancel()
+    futures = [pool.submit(_search_task, n, F, G, budget, p, t0) for _, p in prefixes]
+    # consume in task order: the first subtree with a good coloring is
+    # the one sequential DFS would reach first
+    for (lead_nodes, _), fut in zip(prefixes, futures):
+        red, nodes, budget_hit = fut.result()
+        total_nodes += lead_nodes + nodes
+        if budget_hit:
+            break
+        if red is not None:
+            witness = Graph(n, red)
+            break
+    else:
+        total_nodes += tail_nodes
+    for fut in futures:
+        fut.cancel()
     if budget_hit:
         raise BudgetExceededError(
             f"arrowing search for n={n} exceeded its budget",
@@ -424,7 +465,8 @@ def arrows(n: int, F: Graph, G: Graph, budget: Optional[Budget] = None,
     count for any jobs.  Raises BudgetExceededError when the budget runs out
     first; that outcome is never silently coerced to either answer.
     """
-    witness, nodes, secs = _run_search(n, F, G, budget, jobs)
+    with _pool(jobs) as pool:
+        witness, nodes, secs = _run_search(n, F, G, budget, pool)
     return ArrowingOutcome(witness is None, witness, nodes, secs)
 
 
@@ -444,7 +486,12 @@ def ramsey_number(F: Graph, G: Graph, n_max: int = 32,
 def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
                                budget: Optional[Budget] = None, jobs: int = 1):
     """(r, witness at r-1).  The witness is None only when r-1 admits no
-    coloring at all (r <= 1)."""
+    coloring at all (r <= 1).
+
+    With jobs > 1 one process pool, imported and started on first use,
+    serves the whole scan.  The budget applies to each order n on its own:
+    its time limit is one deadline per order, not one for the scan.
+    """
     if n_max > MAX_VERTICES:
         raise GraphError(f"n_max exceeds cap {MAX_VERTICES}")
     start = 1
@@ -453,11 +500,12 @@ def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
     if n_max < start:
         raise ValueError(f"n_max={n_max} is below {start}, where the scan starts")
     witness = None
-    for n in range(start, n_max + 1):
-        got = _run_search(n, F, G, budget, jobs)[0]
-        if got is None:
-            if witness is None and n > 1:
-                witness = _run_search(n - 1, F, G, budget, jobs)[0]
-            return n, witness
-        witness = got
+    with _pool(jobs) as pool:
+        for n in range(start, n_max + 1):
+            got = _run_search(n, F, G, budget, pool)[0]
+            if got is None:
+                if witness is None and n > 1:
+                    witness = _run_search(n - 1, F, G, budget, pool)[0]
+                return n, witness
+            witness = got
     raise SearchCapError(f"r(F,G) > {n_max}; raise n_max")

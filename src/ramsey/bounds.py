@@ -9,8 +9,7 @@ coloring below it), so equality cases are classified, not just bounded.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from ramsey.arrowing import (
     Budget,
@@ -56,8 +55,7 @@ def bound_t3(k: int, q: int) -> int:
     return k * q + 2
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One row of a sweep: a graph, its exact Ramsey number against the
     theorem's fixed pattern, and the bound."""
 
@@ -96,11 +94,13 @@ class BoundReport:
             slack=row["slack"], equality=row["equality"], runtime=row["runtime"])
 
 
-@dataclass
 class SweepResult:
-    theorem: str
-    reports: list[BoundReport] = field(default_factory=list)
-    incomplete: list[tuple[str, str]] = field(default_factory=list)  # (g6, reason)
+    """The rows of one sweep, and the graphs it could not settle."""
+
+    def __init__(self, theorem: str):
+        self.theorem = theorem
+        self.reports: list[BoundReport] = []
+        self.incomplete: list[tuple[str, str]] = []  # (g6, reason)
 
     @property
     def violations(self) -> list[BoundReport]:
@@ -181,6 +181,10 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
     keys) resumes a partial run.  A slack < 0 raises SweepViolationError
     naming the counterexample; per-graph budget exhaustion is recorded in
     .incomplete instead of aborting the sweep.
+
+    Each graph's Ramsey number is one scan over n: with jobs > 1 it opens
+    one process pool for that scan, and the budget's time limit is one
+    deadline for each order n of it.
     """
     theorem, q_min, q_max, k, F = sweep_params(theorem, q_max, k)
     result = SweepResult(theorem)
@@ -223,8 +227,7 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
     return result
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     label: str
     lhs: int
     rhs: int

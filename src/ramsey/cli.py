@@ -3,7 +3,10 @@ sweeps, graph enumeration and witness validation.
 
 Exit codes: 0 success, 1 theorem violation / invalid witness, 2 usage
 error, 3 budget exceeded.  Runs are bit-reproducible for identical flags;
---jobs only partitions the search tree.
+--jobs only partitions the search tree.  With --jobs above 1 each Ramsey
+number's scan over n opens one process pool, and the first pool imports
+concurrent.futures; a sequential run never loads it.  --budget is one
+deadline per order n, shared by all of that order's workers.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ Xeon with Python 3.11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ramsey.graphs import (
@@ -53,7 +52,6 @@ from ramsey.graphs import (
 )
 
 
-@dataclass(frozen=True)
 class EnumFilter:
     """What to enumerate: all q-edge graphs, one per isomorphism class.
 
@@ -62,12 +60,14 @@ class EnumFilter:
     allowed.
     """
 
-    q: int
-    require_isolate_free: bool = True
-    require_connected: bool = False
-    max_vertices: Optional[int] = None
+    __slots__ = ("q", "require_isolate_free", "require_connected", "max_vertices")
 
-    def __post_init__(self):
+    def __init__(self, q: int, require_isolate_free: bool = True,
+                 require_connected: bool = False, max_vertices: Optional[int] = None):
+        self.q = q
+        self.require_isolate_free = require_isolate_free
+        self.require_connected = require_connected
+        self.max_vertices = max_vertices
         if self.q < 1:
             raise ValueError(f"edge count must be >= 1, got {self.q}")
         cap = self.effective_cap()

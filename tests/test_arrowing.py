@@ -1,5 +1,8 @@
 import itertools
 import random
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +97,15 @@ class TestFindGoodColoring:
         with pytest.raises(BudgetExceededError):
             arrows(9, C4, graph_from_name("4K2"), budget=Budget(max_nodes=50))
 
+    def test_one_deadline_across_pool_tasks(self):
+        # the split and every subtree share the search's deadline, so two
+        # workers do not each get the whole time budget
+        budget = Budget(max_seconds=0.5)
+        t0 = time.monotonic()
+        with pytest.raises(BudgetExceededError):
+            arrows(11, C4, graph_from_name("5K2"), budget=budget, jobs=2)
+        assert time.monotonic() - t0 < 1.3 * budget.max_seconds
+
     def test_deterministic_witness(self):
         a = arrows(6, C4, K3).witness
         b = arrows(6, C4, K3).witness
@@ -104,6 +116,37 @@ class TestFindGoodColoring:
         par = arrows(7, C4, graph_from_name("3K2"), jobs=2).witness
         assert seq == par
         assert arrows(7, C4, K3, jobs=2).arrows
+
+
+class TestPoolLifetime:
+    """One process pool per call that asks for one, counted through the
+    module attribute the benchmark's tracer also replaces."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        opened = []
+
+        def counting_pool(*args, **kwargs):
+            opened.append(kwargs)
+            return ProcessPoolExecutor(*args, **kwargs)
+        monkeypatch.setattr(arrowing, "ProcessPoolExecutor", counting_pool)
+        return opened
+
+    def test_one_pool_per_scan(self, opened):
+        witness = Path(__file__).resolve().parent.parent / "perfbench" / "c4_2k3.witness"
+        r, red = ramsey_number_with_witness(C4, graph_from_name("2K3"), jobs=2)
+        assert r == 8
+        assert coloring_to_text(red) == witness.read_text()
+        assert opened == [{"max_workers": 2}]
+
+    def test_one_pool_per_arrows_call(self, opened):
+        assert arrows(8, C4, graph_from_name("2K3"), jobs=2).arrows
+        assert len(opened) == 1
+
+    def test_sequential_opens_none(self, opened):
+        assert ramsey_number_with_witness(C4, graph_from_name("2K3"))[0] == 8
+        assert arrows(8, C4, graph_from_name("2K3")).arrows
+        assert opened == []
 
 
 class TestArrows:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ramsey
 from ramsey import arrowing
 from ramsey.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
@@ -184,3 +188,16 @@ def test_budget_exceeded_exits_3(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "budget exceeded" in err
+
+
+def test_cli_import_leaves_the_pool_and_dataclasses_unloaded():
+    # a sequential run never opens a pool, so importing the CLI must not
+    # pay for concurrent.futures (with multiprocessing) or dataclasses
+    src = os.path.dirname(os.path.dirname(ramsey.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, ramsey.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
