@@ -9,11 +9,16 @@ complete.
 
 Two candidate edges that an automorphism of the parent maps onto each
 other grow the same class, so each parent's candidates are grouped into
-orbits under graphs.automorphism_generators (non-edges as orbits of
-vertex pairs, pendant edges as orbits of vertices) and only one per orbit
-goes through canonical_form.  The generators need not generate the whole
-automorphism group: any set of automorphisms merges only candidates that
-grow one class, so the list stays complete.
+orbits under the parent's automorphism generators (non-edges as orbits
+of vertex pairs, pendant edges as orbits of vertices) and only one per
+orbit goes through canonical_form.  The generators come from the search
+that labelled the parent one level down: canonical_form hands back the
+automorphisms it met, carried onto the form, and each class keeps them
+until the next level has used them; the last level keeps none.  So each
+canonical_form call is one search, and no parent is searched again.  The
+generators need not generate the whole automorphism group: any set of
+automorphisms merges only candidates that grow one class, so the list
+stays complete.
 
 Of the children that remain, only those whose new edge (i, j) has the
 greatest value of a cheap edge invariant, (max(deg i, deg j),
@@ -30,9 +35,10 @@ the dict of canonical keys still removes repeats.
 
 A vertex cap bounds every level, since removing an edge and its exposed
 isolates never adds a vertex; nothing is cached between calls.  q = 8
-(497 classes from 901 canonical forms; 3,393 without the invariant test
-and 8,252 without the orbits either) takes about 0.25 s on a 2-CPU Intel
-Xeon with Python 3.11.
+(497 classes from 901 canonical forms and as many searches; 3,393 forms
+without the invariant test and 8,252 without the orbits either) takes
+about 0.16 s on a 2-CPU Intel Xeon with Python 3.11, and q = 10 (4,613
+classes from 8,545) about 2.2-2.5 s.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from ramsey.graphs import (
     Graph,
     MAX_VERTICES,
     _find,
-    automorphism_generators,
+    _unchecked_graph,
     canonical_form,
     disjoint_union,
     from_edges,
@@ -87,44 +93,64 @@ def _edge_invariant(adj, i: int, j: int) -> tuple[int, int, int]:
     return (max(di, dj), min(di, dj), (adj[i] & adj[j]).bit_count())
 
 
-def _isolate_free_classes(q: int, cap: int = MAX_VERTICES) -> list[Graph]:
+def _children(h: Graph, h_autos: list[list[int]], cap: int):
+    """The children of class h, one edge more and at most cap vertices, that
+    pass the orbit and edge-invariant tests; h_autos are automorphisms of
+    h."""
+    n = h.n
+    m = n + 1
+    edges = h.edges()
+    # candidate edges (i, j), i < j <= n, where j = n hangs the edge on a
+    # new vertex; an automorphism of h (fixing n) maps a candidate onto one
+    # that grows the same class, so only one per orbit is kept: the root of
+    # its union-find tree, keyed i * m + j
+    cands = [(i, j) for i in range(n) for j in range(i + 1, min(m, cap))
+             if not h.adj[i] >> j & 1]
+    orbit = list(range(m * m))
+    for gamma in h_autos:
+        gamma = gamma + [n]
+        for i, j in cands:
+            x, y = gamma[i], gamma[j]
+            a, b = _find(orbit, i * m + j), _find(orbit, x * m + y if x < y else y * m + x)
+            if a != b:
+                orbit[a] = b
+    grown = [(i, j) for i, j in cands if _find(orbit, i * m + j) == i * m + j]
+    if n + 2 <= cap:
+        grown.append((n, n + 1))
+    for i, j in grown:
+        adj = list(h.adj) + [0] * (j + 1 - n)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        # some child of each class has a new edge of greatest invariant
+        top = _edge_invariant(adj, i, j)
+        if any(_edge_invariant(adj, a, b) > top for a, b in edges):
+            continue
+        yield _unchecked_graph(len(adj), adj)
+
+
+def _isolate_free_classes(q: int, cap: int = MAX_VERTICES,
+                          autos: list[list[list[int]]] | None = None) -> list[Graph]:
     """Canonical representatives of all isolate-free graphs with exactly q
-    edges and at most cap vertices, sorted by (n, graph6)."""
+    edges and at most cap vertices, sorted by (n, graph6).  Given a list as
+    autos, appends to it, class by class, the automorphisms that
+    canonical_form met while labelling that class."""
     if q == 1:
-        return [canonical_form(from_edges(2, [(0, 1)]))]
-    seen: dict[str, Graph] = {}
-    for h in _isolate_free_classes(q - 1, cap):
-        n = h.n
-        m = n + 1
-        edges = h.edges()
-        # candidate edges (i, j), i < j <= n, where j = n hangs the edge on
-        # a new vertex; an automorphism of h (fixing n) maps a candidate
-        # onto one that grows the same class, so only one per orbit is
-        # kept: the root of its union-find tree, keyed i * m + j
-        cands = [(i, j) for i in range(n) for j in range(i + 1, min(m, cap))
-                 if not h.adj[i] >> j & 1]
-        orbit = list(range(m * m))
-        for gamma in automorphism_generators(h):
-            gamma.append(n)
-            for i, j in cands:
-                x, y = gamma[i], gamma[j]
-                a, b = _find(orbit, i * m + j), _find(orbit, x * m + y if x < y else y * m + x)
-                if a != b:
-                    orbit[a] = b
-        grown = [(i, j) for i, j in cands if _find(orbit, i * m + j) == i * m + j]
-        if n + 2 <= cap:
-            grown.append((n, n + 1))
-        for i, j in grown:
-            adj = list(h.adj) + [0] * (j + 1 - n)
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            # some child of each class has a new edge of greatest invariant
-            top = _edge_invariant(adj, i, j)
-            if any(_edge_invariant(adj, a, b) > top for a, b in edges):
-                continue
-            cf = canonical_form(Graph(len(adj), adj))
-            seen.setdefault(graph6_encode(cf), cf)
-    return sorted(seen.values(), key=lambda g: (g.n, graph6_encode(g)))
+        children = [from_edges(2, [(0, 1)])]
+    else:
+        parent_autos: list[list[list[int]]] = []
+        parents = _isolate_free_classes(q - 1, cap, parent_autos)
+        children = (c for h, h_autos in zip(parents, parent_autos)
+                    for c in _children(h, h_autos, cap))
+    seen: dict[str, tuple[Graph, list[list[int]] | None]] = {}
+    for child in children:
+        gens = None if autos is None else []
+        cf = canonical_form(child, autos=gens)
+        seen.setdefault(graph6_encode(cf), (cf, gens))
+    # graph6 starts with the byte n + 63, so its order is (n, graph6)
+    keys = sorted(seen)
+    if autos is not None:
+        autos += [seen[key][1] for key in keys]
+    return [seen[key][0] for key in keys]
 
 
 def enumerate_graphs(f: EnumFilter) -> list[Graph]:

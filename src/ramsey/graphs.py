@@ -87,6 +87,15 @@ class Graph:
         self.n, self.adj = state
 
 
+def _unchecked_graph(n: int, adj: Sequence[int]) -> Graph:
+    """Graph(n, adj) without __init__'s range and symmetry checks, for rows
+    derived from an already valid graph."""
+    g = Graph.__new__(Graph)
+    g.n = n
+    g.adj = tuple(adj)
+    return g
+
+
 def lex_edges(n: int) -> list[tuple[int, int]]:
     """All edges of K_n as (i, j), i < j, lexicographic."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -166,7 +175,7 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 def complement(g: Graph) -> Graph:
     """The graph on g's vertices whose edges are the pairs g leaves out."""
     full = (1 << g.n) - 1
-    return Graph(g.n, [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)])
+    return _unchecked_graph(g.n, [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)])
 
 
 # ---------------------------------------------------------------------------
@@ -197,50 +206,46 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def canonical_form(g: Graph) -> Graph:
+def canonical_form(g: Graph, autos: list[list[int]] | None = None) -> Graph:
     """A fixed representative of g's isomorphism class.
 
     Vertices are first partitioned by iterated degree refinement; the result
     is the relabeling, among those that list each refinement cell in order of
     its colour, whose upper-triangle bit string (column-major, the graph6 bit
-    order) is lexicographically least.  _canonical_search finds it, and
-    meets automorphisms of g on the way: one per leaf whose string equals
-    the best, and the transposition of each pair of twins it prunes.
-    automorphism_generators(g) returns those.
+    order) is lexicographically least.  _canonical_search finds it.
+
+    Given a list as autos, canonical_form appends to it the automorphisms
+    that search met, each as a list gamma mapping i to gamma[i] on the
+    returned form's vertices: the leaf automorphisms, then the transposition
+    of each pair of twins it pruned.  They need not generate the whole
+    automorphism group, but each one is an automorphism of the form, so the
+    orbits they generate lie inside the form's orbits.
     """
     n = g.n
     if n <= 1:
-        return Graph(n, g.adj)
-    best_perm = _canonical_search(g)[0]
+        return _unchecked_graph(n, g.adj)
+    best_perm, found, twins = _canonical_search(g)
     pos = [0] * n
     for p, v in enumerate(best_perm):
         pos[v] = p
-    return Graph(n, [sum([1 << pos[w] for w in _bits(g.adj[v])]) for v in best_perm])
-
-
-def automorphism_generators(g: Graph) -> list[list[int]]:
-    """Automorphisms of g, each as a list gamma mapping v to gamma[v], that
-    canonical_form's search meets on its way: the leaf automorphisms it
-    records, then the transposition of each pair of twins it prunes.
-
-    They need not generate the whole automorphism group, but each one is
-    an automorphism, so the orbits they generate lie inside g's orbits.
-    """
-    n = g.n
-    if n <= 1:
-        return []
-    _, autos, twins = _canonical_search(g)
-    for u, v in sorted(twins):
-        gamma = list(range(n))
-        gamma[u], gamma[v] = v, u
-        autos.append(gamma)
-    return autos
+    if autos is not None:
+        # g's automorphism v -> gamma[v] is i -> pos[gamma[best_perm[i]]]
+        # on the form, whose vertex i is g's best_perm[i]
+        for gamma in found:
+            autos.append([pos[gamma[v]] for v in best_perm])
+        for u, v in sorted(twins):
+            swap = list(range(n))
+            swap[pos[u]], swap[pos[v]] = pos[v], pos[u]
+            autos.append(swap)
+    return _unchecked_graph(n, [sum([1 << pos[w] for w in _bits(g.adj[v])]) for v in best_perm])
 
 
 def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]], set[tuple[int, int]]]:
     """(best_perm, autos, twins) for g on n >= 2 vertices: best_perm lists
     the vertices in canonical_form's order, autos holds the leaf
-    automorphisms found and twins the pairs (u, v) pruned as twins.
+    automorphisms of g found and twins the pairs (u, v) of g's vertices
+    pruned as twins.  canonical_form carries both onto the form it returns,
+    so one search gives the form and its generators.
 
     A depth-first search places one vertex per position and prunes with the
     partial bit string, in the manner of McKay's "Practical graph
@@ -426,9 +431,10 @@ def extend_embedding(adj: Sequence[int], free: int, plan: Plan, img: list[int], 
 
 
 def _as_matching(g: Graph) -> int | None:
-    """m if g is mK_2."""
-    if g.q >= 1 and g.n == 2 * g.q and all(d == 1 for d in g.degrees()):
-        return g.q
+    """m if g is mK_2: every vertex has degree 1, so its n/2 edges are
+    disjoint and cover it."""
+    if g.n and all(row.bit_count() == 1 for row in g.adj):
+        return g.n // 2
     return None
 
 

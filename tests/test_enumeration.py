@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ramsey import enumeration, graphs
 from ramsey.enumeration import EnumFilter, _edge_invariant, enumerate_graphs, isolate_free_graphs
 from ramsey.families import describe, graph_from_name
 from ramsey.graphs import canonical_form, from_edges, graph6_decode, graph6_encode, is_connected
@@ -26,6 +27,31 @@ def test_q7_representatives_pinned():
     keys = sorted(graph6_encode(g) for g in isolate_free_graphs(7))
     digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
     assert digest == "2e6acdfa10819ec05c96d74e0cae2e4999476eed0fdc353d9339a354fbe1335d"
+
+
+def test_q8_representatives_pinned():
+    keys = sorted(graph6_encode(g) for g in isolate_free_graphs(8))
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    assert digest == "24d0b65e46677c35489bb38e5c7d864a738615d26dc3e8e80cb54f27896d777c"
+
+
+def test_one_search_per_labelling(monkeypatch):
+    # each class's generators come from the search that labelled it, so no
+    # parent is searched a second time for its automorphisms
+    counts = {"canonical_form": 0, "_canonical_search": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(enumeration, "canonical_form",
+                        counted("canonical_form", enumeration.canonical_form))
+    monkeypatch.setattr(graphs, "_canonical_search",
+                        counted("_canonical_search", graphs._canonical_search))
+    assert len(isolate_free_graphs(7)) == 177
+    assert counts["_canonical_search"] == counts["canonical_form"] > 0
 
 
 def test_q2_classes():
