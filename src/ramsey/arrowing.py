@@ -40,6 +40,16 @@ ramsey_number scan over every order n.  concurrent.futures is imported
 when the first pool is opened, so a run with jobs=1 never loads it.  A
 time budget is one deadline per order n, shared by the split and every
 pool task.
+
+A Ramsey number with a matching mK_2 on either side is decided by
+structure, with no search, pool or budget (matching_arrows).  On n >= 2m
+vertices every mK_2-free graph lies inside some K_s joined to odd cliques
+K_{c_1} u ... u K_{c_t} with s + sum (c_i - 1)/2 = m - 1 (Gallai-Edmonds,
+Lovasz & Plummer, Matching Theory, 1986, ch. 3), so K_n has a good
+coloring iff F misses the complement K_{c_1,...,c_t} + sK_1 of one of
+them.  Its witness is the first such complement in a fixed walk, not the
+DFS's lex-greatest good coloring, and it is the same for any jobs.
+arrows() always searches, so it stays the oracle for that walk.
 """
 
 from __future__ import annotations
@@ -470,6 +480,87 @@ def arrows(n: int, F: Graph, G: Graph, budget: Optional[Budget] = None,
     return ArrowingOutcome(witness is None, witness, nodes, secs)
 
 
+# ---------------------------------------------------------------------------
+# matchings by structure
+# ---------------------------------------------------------------------------
+
+def _partitions(e: int, most: int, parts: int):
+    """Partitions of e into at most parts parts of size at most most,
+    each as a falling tuple, in falling lex order."""
+    if e == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(e, most), 0, -1):
+        for rest in _partitions(e - first, first, parts - 1):
+            yield (first, *rest)
+
+
+def _matching_free_reds(n: int, m: int):
+    """The red graphs whose blue complement is an edge-maximal mK_2-free
+    graph on n vertices, in walk order.
+
+    Below 2m vertices that is K_n itself, so the one red graph is empty.
+    Otherwise blue is K_s joined to t = n - 2m + 2 + s odd cliques of
+    sizes 2a_i + 1, the a_i a partition of m - 1 - s padded with zeros;
+    red is the complete multipartite graph on those parts plus s isolated
+    vertices.  s runs up from 0 and the partitions fall in lex order, so
+    the first red graph at n = 2m is the spanning star K_{1,2m-1}.  Parts
+    take the low vertices in rising size and the isolated ones come last.
+    """
+    if n < 2 * m:
+        yield Graph(n, [0] * n)
+        return
+    for s in range(m):
+        t = n - 2 * m + 2 + s
+        for a in _partitions(m - 1 - s, m - 1 - s, t):
+            sizes = [1] * (t - len(a)) + [2 * x + 1 for x in reversed(a)]
+            full = (1 << (n - s)) - 1
+            adj = []
+            for size in sizes:
+                part = ((1 << size) - 1) << len(adj)
+                adj += [full & ~part] * size
+            yield Graph(n, adj + [0] * s)
+
+
+def matching_arrows(n: int, F: Graph, m: int) -> Optional[Graph]:
+    """The red graph of a good coloring of K_n against (F, mK_2), or None
+    when K_n arrows (F, mK_2).
+
+    A coloring is good iff its blue graph is mK_2-free and red misses F,
+    and enlarging blue to an edge-maximal mK_2-free graph only shrinks
+    red.  So it is enough to try the complement of each edge-maximal one,
+    as _matching_free_reds walks them; the first that F misses is the
+    witness.  There is no search, so no budget applies.
+    """
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"order {n} outside 0..{MAX_VERTICES}")
+    if m < 1:
+        raise ValueError(f"a matching needs m >= 1 edges, got {m}")
+    for red in _matching_free_reds(n, m):
+        if not embeds(F, red):
+            return red
+    return None
+
+
+def _scan(start: int, n_max: int, good):
+    """(least n in start..n_max at which good(n) is None, good(n - 1)).
+
+    good(n) is a good coloring's red graph of K_n, or None when K_n
+    arrows.  Raises SearchCapError when every order up to n_max has one.
+    """
+    witness = None
+    for n in range(start, n_max + 1):
+        got = good(n)
+        if got is None:
+            if witness is None and n > 1:
+                witness = good(n - 1)
+            return n, witness
+        witness = got
+    raise SearchCapError(f"r(F,G) > {n_max}; raise n_max")
+
+
 def ramsey_number(F: Graph, G: Graph, n_max: int = 32,
                   budget: Optional[Budget] = None, jobs: int = 1) -> int:
     """Least n with arrows(n, F, G), found by scanning upward.
@@ -488,9 +579,16 @@ def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
     """(r, witness at r-1).  The witness is None only when r-1 admits no
     coloring at all (r <= 1).
 
-    With jobs > 1 one process pool, imported and started on first use,
-    serves the whole scan.  The budget applies to each order n on its own:
-    its time limit is one deadline per order, not one for the scan.
+    When G is a matching, each order n is decided by matching_arrows, by
+    structure: no search, no pool and no budget, and the witness is the
+    first coloring of its walk, the same for any jobs.  When only F is a
+    matching, the scan decides (G, F) that way and returns the complement
+    of its witness, since r(F, G) = r(G, F).
+
+    Otherwise each order n is searched.  With jobs > 1 one process pool,
+    imported and started on first use, serves the whole scan.  The budget
+    applies to each order n on its own: its time limit is one deadline per
+    order, not one for the scan.
     """
     if n_max > MAX_VERTICES:
         raise GraphError(f"n_max exceeds cap {MAX_VERTICES}")
@@ -499,13 +597,13 @@ def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
         start = max(F.n, G.n)
     if n_max < start:
         raise ValueError(f"n_max={n_max} is below {start}, where the scan starts")
-    witness = None
+    m = _as_matching(G)
+    if m is not None:
+        return _scan(start, n_max, lambda n: matching_arrows(n, F, m))
+    m = _as_matching(F)
+    if m is not None:
+        # the same colorings with red and blue swapped
+        r, witness = _scan(start, n_max, lambda n: matching_arrows(n, G, m))
+        return r, None if witness is None else complement(witness)
     with _pool(jobs) as pool:
-        for n in range(start, n_max + 1):
-            got = _run_search(n, F, G, budget, pool)[0]
-            if got is None:
-                if witness is None and n > 1:
-                    witness = _run_search(n - 1, F, G, budget, pool)[0]
-                return n, witness
-            witness = got
-    raise SearchCapError(f"r(F,G) > {n_max}; raise n_max")
+        return _scan(start, n_max, lambda n: _run_search(n, F, G, budget, pool)[0])

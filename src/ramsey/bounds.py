@@ -184,7 +184,8 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
 
     Each graph's Ramsey number is one scan over n: with jobs > 1 it opens
     one process pool for that scan, and the budget's time limit is one
-    deadline for each order n of it.
+    deadline for each order n of it.  A matching G is decided by structure,
+    with no search, pool or budget (arrowing.matching_arrows).
     """
     theorem, q_min, q_max, k, F = sweep_params(theorem, q_max, k)
     result = SweepResult(theorem)

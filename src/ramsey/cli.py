@@ -7,6 +7,12 @@ error, 3 budget exceeded.  Runs are bit-reproducible for identical flags;
 number's scan over n opens one process pool, and the first pool imports
 concurrent.futures; a sequential run never loads it.  --budget is one
 deadline per order n, shared by all of that order's workers.
+
+A Ramsey number with a matching mK2 on either side (ramsey, verify) is
+decided by structure, from the edge-maximal mK2-free graphs: no search, no
+pool, and --budget does not apply.  Its witness is the first coloring of
+that walk, not the search's lex-greatest, and the same for any --jobs.
+The arrows command always searches.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from ramsey.arrowing import (
     arrows,
     coloring_from_text,
     coloring_to_text,
+    matching_arrows,
     ramsey_number,
     ramsey_number_with_witness,
     verify_coloring,
@@ -78,6 +79,13 @@ class TestStarWitness:
         m = graph_from_name(f"{q}K2")
         assert verify_coloring(w, C4, m)
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 6])
+    def test_first_coloring_of_the_walk(self, q):
+        # s = 0 with parts 1 and 2q-1: red K_{1,2q-1}, blue K_1 join K_{2q-1}
+        w = from_edges(2 * q, [(0, i) for i in range(1, 2 * q)])
+        assert matching_arrows(2 * q, C4, q) == w
+        assert ramsey_number_with_witness(C4, graph_from_name(f"{q}K2")) == (2 * q + 1, w)
+
 
 class TestFindGoodColoring:
     """Good colorings, as the witness arrows returns."""
@@ -142,6 +150,12 @@ class TestPoolLifetime:
     def test_one_pool_per_arrows_call(self, opened):
         assert arrows(8, C4, graph_from_name("2K3"), jobs=2).arrows
         assert len(opened) == 1
+
+    def test_matching_opens_none(self, opened):
+        # decided by structure, on either side
+        assert ramsey_number_with_witness(C4, graph_from_name("3K2"), jobs=2)[0] == 7
+        assert ramsey_number_with_witness(graph_from_name("3K2"), C4, jobs=2)[0] == 7
+        assert opened == []
 
     def test_sequential_opens_none(self, opened):
         assert ramsey_number_with_witness(C4, graph_from_name("2K3"))[0] == 8
@@ -438,6 +452,82 @@ class TestRamseyNumber:
     def test_cap_error(self):
         with pytest.raises(SearchCapError):
             ramsey_number(C4, K3, n_max=5)
+
+
+# the patterns the structural walk is checked on against the search
+WALK_PATTERNS = ["C4", "K3", "K1,3", "P4", "K2,3", "C5", "K4", "P3", "2K2",
+                 "K1,3 u K2", "paw", "P5"]
+
+
+class TestMatchingByStructure:
+    """matching_arrows, the walk over the complements of edge-maximal
+    mK2-free graphs, against the search and the every-graph oracle."""
+
+    # (K4, 4K2) and (C5, 4K2) are left out: the search needs seconds there
+    @pytest.mark.parametrize("name,m", [
+        (name, m) for name in WALK_PATTERNS for m in range(1, 5)
+        if (name, m) not in (("K4", 4), ("C5", 4))])
+    def test_agrees_with_search(self, name, m):
+        F, G = graph_from_name(name), graph_from_name(f"{m}K2")
+        r, w = ramsey_number_with_witness(F, G)
+        assert arrows(r, F, G).arrows
+        assert matching_arrows(r, F, m) is None
+        assert not arrows(r - 1, F, G).arrows
+        assert w == matching_arrows(r - 1, F, m)
+        for n in range(r):
+            assert verify_coloring(matching_arrows(n, F, m), F, G), n
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_small_pattern(self, graphs_by_order, n):
+        # K_n arrows (F, mK2) iff every red graph holds F or leaves a blue
+        # mK2; F runs over every graph on up to 5 vertices, isolates too
+        hosts = graphs_by_order[n]
+        every = (1 << len(hosts)) - 1
+        for m in (1, 2, 3):
+            G = graph_from_name(f"{m}K2")
+            blue_hit = sum(1 << j for j, h in enumerate(hosts) if embeds(G, complement(h)))
+            for k in range(1, 6):
+                for F in graphs_by_order[k]:
+                    red_hit = sum(1 << j for j, h in enumerate(hosts) if embeds(F, h))
+                    w = matching_arrows(n, F, m)
+                    assert (w is None) == (red_hit | blue_hit == every), (n, F.adj, m)
+                    assert w is None or verify_coloring(w, F, G)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_c4_vs_matchings(self, m):
+        # the paper's equality case r(C4, qK2) = 2q + 1, far past the search
+        r, w = ramsey_number_with_witness(C4, graph_from_name(f"{m}K2"))
+        assert r == 2 * m + 1
+        assert verify_coloring(w, C4, graph_from_name(f"{m}K2"))
+
+    def test_colour_swap(self):
+        M3 = graph_from_name("3K2")
+        r, w = ramsey_number_with_witness(M3, C4)
+        assert r == 7 == ramsey_number(M3, C4)
+        assert verify_coloring(w, M3, C4)
+        assert w == complement(ramsey_number_with_witness(C4, M3)[1])
+
+    def test_below_2m(self):
+        # mK2 does not fit in K_n: all blue is good iff F has an edge
+        assert matching_arrows(5, K3, 3) == from_edges(5, [])
+        assert matching_arrows(5, from_edges(2, []), 3) is None
+        assert matching_arrows(1, from_edges(2, []), 3) == from_edges(1, [])
+        assert matching_arrows(0, K3, 1) == from_edges(0, [])
+
+    def test_no_budget_is_spent(self):
+        r = ramsey_number(C4, graph_from_name("6K2"), budget=Budget(max_nodes=1, max_seconds=1e-9))
+        assert r == 13
+
+    def test_cap_error(self):
+        with pytest.raises(SearchCapError):
+            ramsey_number(C4, graph_from_name("4K2"), n_max=8)
+        with pytest.raises(SearchCapError):
+            ramsey_number(graph_from_name("4K2"), C4, n_max=8)
+
+    @pytest.mark.parametrize("n,m", [(-1, 2), (33, 2), (6, 0), (6, -1)])
+    def test_bad_input_rejected(self, n, m):
+        with pytest.raises(ValueError):
+            matching_arrows(n, C4, m)
 
 
 class TestWitnessFiles:

@@ -77,6 +77,16 @@ def test_ramsey_max_n_reached_exits_3(monkeypatch, capsys):
     assert "r(F,G) > 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("red,blue", [("3K2", "C4"), ("C4", "3K2")])
+def test_ramsey_matching_on_either_side(tmp_path, capsys, monkeypatch, red, blue):
+    # decided by structure, so no order is searched; red 3K2 swaps colours
+    monkeypatch.setattr(arrowing, "_run_search", None)
+    path = tmp_path / "w.witness"
+    assert main(["ramsey", "--red", red, "--blue", blue, "--witness", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "7\n"
+    assert main(["witness-check", "--file", str(path), "--red", red, "--blue", blue]) == EXIT_OK
+
+
 @pytest.mark.parametrize("n", [-1, 33])
 def test_arrows_rejects_bad_order(tmp_path, capsys, n):
     path = tmp_path / "w.witness"
