@@ -27,19 +27,20 @@ with each row i < u on columns 0..v; row i is complete by then.  It also
 runs when a block's first edge (u, u+1) turns blue, since row u's columns
 below u were set in earlier blocks and not yet tested.  Any other blue
 edge only lowers row u past columns already tested, so it is not tested.
-Block 0 (u = 0) has no earlier row, so it is never lex-pruned.  With
---jobs the DFS stops at the end of block 0, and each block coloring that
-survives is the prefix of one worker's subtree.  Both breaks keep the
-lex-greatest relabelling of every good coloring, so the reduced tree
-holds a good coloring iff one exists.  The DFS meets colorings in falling
-lex order, so the first it finds is the lex-greatest good coloring, with
-or without the breaks.
+Block 0 (u = 0) has no earlier row, so it is never lex-pruned.  Both
+breaks keep the lex-greatest relabelling of every good coloring, so the
+reduced tree holds a good coloring iff one exists.  The DFS meets
+colorings in falling lex order, so the first it finds is the lex-greatest
+good coloring, with or without the breaks.
 
-The process pool lives for one scan: one arrows call, or one
-ramsey_number scan over every order n.  concurrent.futures is imported
-when the first pool is opened, so a run with jobs=1 never loads it.  A
-time budget is one deadline per order n, shared by the split and every
-pool task.
+Every search splits at the end of block 0, and one loop consumes the
+surviving block colorings and their subtrees in prefix order, so the
+witness and node count are the whole-tree DFS's for any jobs.  With
+jobs=1 the subtrees run lazily in this process; with more, as tasks on a
+process pool that lives for one scan (one arrows call, or one
+ramsey_number scan over every order n) and whose concurrent.futures
+import waits for the first pool.  A budget is a number of seconds: one
+deadline per order n, shared by the split and every subtree.
 
 A Ramsey number with a matching mK_2 on either side is decided by
 structure, with no search, pool or budget (matching_arrows).  On n >= 2m
@@ -83,33 +84,18 @@ ProcessPoolExecutor = None
 
 
 class BudgetExceededError(RuntimeError):
-    """Search ran out of its node or time budget before finishing.
+    """Search ran out of its time budget before finishing.
 
     Distinct from "no good coloring exists": the outcome is unknown.
     """
 
-    def __init__(self, message: str, nodes: int = 0, seconds: float = 0.0):
+    def __init__(self, message: str, nodes: int = 0):
         super().__init__(message)
         self.nodes = nodes
-        self.seconds = seconds
 
 
 class SearchCapError(RuntimeError):
     """ramsey_number hit its n_max cap without the arrowing turning true."""
-
-
-class Budget(NamedTuple):
-    """Limits for the search of one order n; None means unlimited.
-
-    max_seconds is one deadline, counted from the start of that search and
-    shared by the split and every pool task, which read the same
-    system-wide monotonic clock; a task that starts after it gives up at
-    once.  max_nodes caps the split and each pool task separately, so a
-    parallel search may visit more nodes in all.
-    """
-
-    max_nodes: Optional[int] = None
-    max_seconds: Optional[float] = None
 
 
 class ArrowingOutcome(NamedTuple):
@@ -123,7 +109,6 @@ class ArrowingOutcome(NamedTuple):
     arrows: bool
     witness: Optional[Graph]
     nodes: int
-    seconds: float
 
 
 def verify_coloring(red: Graph, F: Graph, G: Graph) -> bool:
@@ -276,10 +261,10 @@ def _lex_violated(red: list[int], u: int, v: int) -> bool:
     return False
 
 
-def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
-            prefix: Optional[list[int]] = None, split: Optional[list] = None,
-            t0: Optional[float] = None):
-    """DFS for a good coloring of K_n.
+def _search(n: int, red_check, blue_check, deadline: Optional[float],
+            prefix: Optional[list[int]] = None):
+    """DFS for a good coloring of K_n, red_check and blue_check being the
+    anchored checks (_make_check) of F and G.
 
     Both symmetry breaks of the module docstring apply: vertex 0's edges
     go red then blue, and a red edge (u, v), or a blue first edge
@@ -288,22 +273,17 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
     row u is set on columns 0..u+1 once (u, u+1) has a colour: columns
     below u by the earlier blocks, column u+1 by this edge.
 
-    split, when given, stops the DFS at the end of vertex 0's block: each
-    coloring of the block's n-1 edges that survives is appended to split as
-    (nodes counted since the previous one, its colors), in the order the
-    full DFS meets them.  The nodes counted after the last one are the
-    returned total minus the appended ones.
+    prefix, when given, fixes the colors (1=red, 0=blue) of vertex 0's
+    first len(prefix) edges, the first lexicographic ones; the symmetry
+    breaks are only applied to edges the DFS assigns itself.  The prefix
+    edges are not checked here, and the anchored checks of later edges
+    assume neither color class of the prefix holds its pattern, so
+    prefixes must come from _split, which checks each edge as it adds it.
+    Without one, this is the whole-tree DFS that _split and the subtrees
+    replay.
 
-    prefix, when given, fixes the colors (1=red, 0=blue) of the first
-    len(prefix) lexicographic edges; the symmetry breaks are only applied
-    to edges the DFS assigns itself.  The prefix edges are not checked
-    here, and the anchored checks of later edges assume neither color
-    class of the prefix holds its pattern, so prefixes must come from a
-    split, which checks each edge as it adds it.
-
-    t0, when given, is the time.monotonic() instant the budget's
-    max_seconds counts from, so that the split and every subtree of one
-    order n share a deadline; by default the clock starts here.
+    deadline is a time.monotonic() instant, or None for no limit; past it
+    the search raises BudgetExceededError, at once if it starts late.
 
     Patterns with no edges, and pairs of which neither fits in K_n, are
     decided by _run_search before it gets here.
@@ -311,57 +291,37 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
     Returns (red rows of the good coloring or None, nodes).
     """
     edges = lex_edges(n)
-    m = n - 1 if split is not None else len(edges)
+    m = len(edges)
     red = [0] * n
     blue = [0] * n
     col = [-1] * m
-    red_check = _make_check(F)
-    blue_check = _make_check(G)
 
-    start_k = 0
-    if prefix:
-        for k, c in enumerate(prefix):
-            u, vv = edges[k]
-            col[k] = c
-            if c:
-                red[u] |= 1 << vv
-                red[vv] |= 1 << u
-            else:
-                blue[u] |= 1 << vv
-                blue[vv] |= 1 << u
-        start_k = len(prefix)
+    prefix = prefix or []
+    col[:len(prefix)] = prefix
+    for v, c in enumerate(prefix, 1):
+        rows = red if c else blue
+        rows[0] |= 1 << v
+        rows[v] |= 1
 
     nodes = 0
-    split_nodes = 0
-    if t0 is None:
-        t0 = time.monotonic()
-    max_nodes = budget.max_nodes if budget else None
-    max_seconds = budget.max_seconds if budget else None
 
     def bail():
         raise BudgetExceededError(
-            f"arrowing search for n={n} exceeded its budget",
-            nodes=nodes, seconds=time.monotonic() - t0)
+            f"arrowing search for n={n} exceeded its budget", nodes=nodes)
 
     def dfs(k: int) -> bool:
-        nonlocal nodes, split_nodes
+        nonlocal nodes
         if k == m:
-            if split is None:
-                return True
-            split.append((nodes - split_nodes, col[:]))
-            split_nodes = nodes
-            return False
+            return True
         u, v = edges[k]
         ubit, vbit = 1 << u, 1 << v
         # symmetry break: vertex 0's edges are non-increasing (red then blue)
         colors = (1, 0) if (k == 0 or k >= n - 1 or col[k - 1] == 1) else (0,)
         for color in colors:
             nodes += 1
-            if not nodes & _CHECK_MASK:
-                if max_nodes is not None and nodes > max_nodes:
-                    bail()
-                if max_seconds is not None and time.monotonic() - t0 > max_seconds:
-                    bail()
+            if (not nodes & _CHECK_MASK and deadline is not None
+                    and time.monotonic() > deadline):
+                bail()
             if color:
                 red[u] |= vbit
                 red[v] |= ubit
@@ -384,20 +344,65 @@ def _search(n: int, F: Graph, G: Graph, budget: Optional[Budget],
         col[k] = -1
         return False
 
-    # a pool task can start after the shared deadline has passed
-    if ((max_nodes is not None and max_nodes <= 0)
-            or (max_seconds is not None and time.monotonic() - t0 > max_seconds)):
+    # a subtree can start after the shared deadline has passed
+    if deadline is not None and time.monotonic() > deadline:
         bail()
-    found = dfs(start_k)
+    found = dfs(len(prefix))
     return (red if found else None), nodes
 
 
-def _search_task(n, F, G, budget, prefix, t0):
-    """Pool task: (red rows or None, nodes, whether the budget ran out)."""
+def _split(n, red_check, blue_check, deadline):
+    """Vertex 0's block, colored lazily as _search's DFS colors it: yields
+    (nodes since the previous pair, colors) for each surviving coloring of
+    its n-1 edges, in DFS order, then (nodes after the last one, None).  A
+    consumer that stops at a witness has made the whole-tree DFS's checks
+    and nodes, no more.  The block has no lex-leader test (u = 0) and
+    under 4096 nodes, so the deadline is read once, at the start.
+    """
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceededError(f"arrowing search for n={n} exceeded its budget")
+    m = max(n - 1, 0)
+    rows = ([0] * n, [0] * n)  # blue, red
+    checks = (blue_check, red_check)
+    col = []
+    nodes = last = 0
+
+    def dfs(k):
+        nonlocal nodes, last
+        if k == m:
+            yield nodes - last, col[:]
+            last = nodes
+            return
+        v = k + 1
+        # vertex 0's edges are non-increasing (red then blue)
+        for color in ((1, 0) if k == 0 or col[-1] else (0,)):
+            nodes += 1
+            adj = rows[color]
+            adj[0] |= 1 << v
+            adj[v] |= 1
+            if not checks[color](adj, n, 0, v):
+                col.append(color)
+                yield from dfs(v)
+                col.pop()
+            adj[0] &= ~(1 << v)
+            adj[v] &= ~1
+
+    yield from dfs(0)
+    yield nodes - last, None
+
+
+def _subtree(n, red_check, blue_check, deadline, prefix):
+    """(red rows or None, nodes, whether the deadline passed) for the
+    subtree below one prefix of the split."""
     try:
-        return (*_search(n, F, G, budget, prefix=prefix, t0=t0), False)
+        return (*_search(n, red_check, blue_check, deadline, prefix=prefix), False)
     except BudgetExceededError as e:
         return None, e.nodes, True
+
+
+def _search_task(n, F, G, deadline, prefix):
+    """Pool task: _subtree, with the anchored checks built in the worker."""
+    return _subtree(n, _make_check(F), _make_check(G), deadline, prefix)
 
 
 def _pool(jobs: int):
@@ -413,71 +418,74 @@ def _pool(jobs: int):
 
 
 def _run_search(n, F, G, budget, pool):
-    """(witness or None, nodes, seconds) for K_n against (F, G); the
-    witness is a good coloring's red graph.
+    """(witness or None, nodes) for K_n against (F, G); the witness is a
+    good coloring's red graph.
 
-    pool is the caller's process pool, or None to search in this process;
-    it lives for the caller's whole scan, so one pool serves every order
-    n.  The budget's time limit is one deadline from this call's start,
-    shared by the split and every pool task.
+    One loop consumes _split's prefixes and their subtrees in prefix
+    order, as the whole-tree DFS meets them.  pool is the caller's process
+    pool, which serves its whole scan, or None to search each subtree in
+    this process when the loop reaches it.  The anchored checks are built
+    once here, and once per pool task in its worker.  budget, in seconds
+    or None, is one deadline from this call's start for the split and
+    every subtree.
     """
     if not 0 <= n <= MAX_VERTICES:
         raise GraphError(f"order {n} outside 0..{MAX_VERTICES}")
-    t0 = time.monotonic()
+    deadline = None if budget is None else time.monotonic() + budget
     # a pattern with no edges occurs in its color class iff it fits at all;
     # no coloring can avoid it
     if (F.q == 0 and F.n <= n) or (G.q == 0 and G.n <= n):
-        return None, 0, time.monotonic() - t0
+        return None, 0
     if F.q > 0 and F.n > n and G.q > 0 and G.n > n:
         # nothing fits; any coloring is good
-        return from_edges(n, lex_edges(n)), 0, time.monotonic() - t0
-    if pool is None or n < 4:
-        red, nodes = _search(n, F, G, budget, t0=t0)
-        witness = Graph(n, red) if red is not None else None
-        return witness, nodes, time.monotonic() - t0
+        return from_edges(n, lex_edges(n)), 0
+    red_check = _make_check(F)
+    blue_check = _make_check(G)
+    split = _split(n, red_check, blue_check, deadline)
+    if pool is None:
+        futures = ()
 
-    prefixes = []
-    tail_nodes = (_search(n, F, G, budget, split=prefixes, t0=t0)[1]
-                  - sum(lead for lead, _ in prefixes))
-    if not prefixes:
-        return None, tail_nodes, time.monotonic() - t0
-    total_nodes = 0
-    witness = None
-    budget_hit = False
-    futures = [pool.submit(_search_task, n, F, G, budget, p, t0) for _, p in prefixes]
-    # consume in task order: the first subtree with a good coloring is
-    # the one sequential DFS would reach first
-    for (lead_nodes, _), fut in zip(prefixes, futures):
-        red, nodes, budget_hit = fut.result()
-        total_nodes += lead_nodes + nodes
-        if budget_hit:
-            break
-        if red is not None:
-            witness = Graph(n, red)
-            break
+        def result(prefix):
+            return _subtree(n, red_check, blue_check, deadline, prefix)
     else:
-        total_nodes += tail_nodes
-    for fut in futures:
-        fut.cancel()
-    if budget_hit:
-        raise BudgetExceededError(
-            f"arrowing search for n={n} exceeded its budget",
-            nodes=total_nodes, seconds=time.monotonic() - t0)
-    return witness, total_nodes, time.monotonic() - t0
+        split = list(split)
+        futures = [pool.submit(_search_task, n, F, G, deadline, p) for _, p in split[:-1]]
+        pending = iter(futures)
+
+        def result(prefix):
+            return next(pending).result()
+    nodes = 0
+    try:
+        for lead, prefix in split:
+            nodes += lead
+            if prefix is None:
+                break  # the split's nodes after its last prefix
+            red, sub, out_of_time = result(prefix)
+            nodes += sub
+            if out_of_time:
+                raise BudgetExceededError(
+                    f"arrowing search for n={n} exceeded its budget", nodes=nodes)
+            if red is not None:
+                return Graph(n, red), nodes
+    finally:
+        for fut in futures:
+            fut.cancel()
+    return None, nodes
 
 
-def arrows(n: int, F: Graph, G: Graph, budget: Optional[Budget] = None,
+def arrows(n: int, F: Graph, G: Graph, budget: Optional[float] = None,
            jobs: int = 1) -> ArrowingOutcome:
     """Decide K_n -> (F, G): every 2-coloring has a red F or a blue G.
 
-    When it does not, the witness is the first good coloring the sequential
+    When it does not, the witness is the first good coloring the whole-tree
     DFS reaches, so identical inputs give the identical witness and node
-    count for any jobs.  Raises BudgetExceededError when the budget runs out
-    first; that outcome is never silently coerced to either answer.
+    count for any jobs.  budget is in seconds.  Raises BudgetExceededError
+    when it runs out first; that outcome is never silently coerced to
+    either answer.
     """
     with _pool(jobs) as pool:
-        witness, nodes, secs = _run_search(n, F, G, budget, pool)
-    return ArrowingOutcome(witness is None, witness, nodes, secs)
+        witness, nodes = _run_search(n, F, G, budget, pool)
+    return ArrowingOutcome(witness is None, witness, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +570,7 @@ def _scan(start: int, n_max: int, good):
 
 
 def ramsey_number(F: Graph, G: Graph, n_max: int = 32,
-                  budget: Optional[Budget] = None, jobs: int = 1) -> int:
+                  budget: Optional[float] = None, jobs: int = 1) -> int:
     """Least n with arrows(n, F, G), found by scanning upward.
 
     The scan starts at the larger pattern's order: below it that pattern
@@ -575,7 +583,7 @@ def ramsey_number(F: Graph, G: Graph, n_max: int = 32,
 
 
 def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
-                               budget: Optional[Budget] = None, jobs: int = 1):
+                               budget: Optional[float] = None, jobs: int = 1):
     """(r, witness at r-1).  The witness is None only when r-1 admits no
     coloring at all (r <= 1).
 
@@ -586,9 +594,9 @@ def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
     of its witness, since r(F, G) = r(G, F).
 
     Otherwise each order n is searched.  With jobs > 1 one process pool,
-    imported and started on first use, serves the whole scan.  The budget
-    applies to each order n on its own: its time limit is one deadline per
-    order, not one for the scan.
+    imported and started on first use, serves the whole scan.  The budget,
+    in seconds, applies to each order n on its own: one deadline per order,
+    not one for the scan.
     """
     if n_max > MAX_VERTICES:
         raise GraphError(f"n_max exceeds cap {MAX_VERTICES}")

@@ -11,11 +11,7 @@ from __future__ import annotations
 import time
 from typing import Callable, NamedTuple, Optional
 
-from ramsey.arrowing import (
-    Budget,
-    BudgetExceededError,
-    ramsey_number,
-)
+from ramsey.arrowing import BudgetExceededError, ramsey_number
 from ramsey.enumeration import EnumFilter, enumerate_graphs, isolate_free_graphs
 from ramsey.families import biclique, cycle, describe, path
 from ramsey.graphs import Graph, canonical_form, disjoint_union, graph6_encode, is_connected
@@ -172,7 +168,7 @@ def sweep_params(theorem: str, q_max: Optional[int] = None,
 
 
 def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
-          budget: Optional[Budget] = None, jobs: int = 1,
+          budget: Optional[float] = None, jobs: int = 1,
           on_report: Optional[Callable[[BoundReport], None]] = None,
           skip: Optional[set] = None) -> SweepResult:
     """Check one bound over every enumerated graph in its hypothesis.
@@ -183,7 +179,7 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
     .incomplete instead of aborting the sweep.
 
     Each graph's Ramsey number is one scan over n: with jobs > 1 it opens
-    one process pool for that scan, and the budget's time limit is one
+    one process pool for that scan, and the budget, in seconds, is one
     deadline for each order n of it.  A matching G is decided by structure,
     with no search, pool or budget (arrowing.matching_arrows).
     """
@@ -235,7 +231,7 @@ class InequalityCheck(NamedTuple):
     holds: bool
 
 
-def check_cited_inequalities(q_max: int = 4, budget: Optional[Budget] = None,
+def check_cited_inequalities(q_max: int = 4, budget: Optional[float] = None,
                              jobs: int = 1) -> list[InequalityCheck]:
     """Evaluate the borrowed inequalities with exact computed values.
 

@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 theorem violation / invalid witness, 2 usage
 error, 3 budget exceeded.  Runs are bit-reproducible for identical flags;
 --jobs only partitions the search tree.  With --jobs above 1 each Ramsey
 number's scan over n opens one process pool, and the first pool imports
-concurrent.futures; a sequential run never loads it.  --budget is one
-deadline per order n, shared by all of that order's workers.
+concurrent.futures; a sequential run never loads it.  --budget is a number
+of seconds: one deadline per order n, shared by all of that order's
+subtrees whatever --jobs is.
 
 A Ramsey number with a matching mK2 on either side (ramsey, verify) is
 decided by structure, from the edge-maximal mK2-free graphs: no search, no
@@ -23,10 +24,8 @@ import math
 import os
 import re
 import sys
-from typing import Optional
 
 from ramsey.arrowing import (
-    Budget,
     BudgetExceededError,
     SearchCapError,
     arrows,
@@ -35,7 +34,7 @@ from ramsey.arrowing import (
     ramsey_number_with_witness,
     verify_coloring,
 )
-from ramsey.bounds import BoundReport, SweepViolationError, sweep, sweep_params
+from ramsey.bounds import THEOREMS, BoundReport, SweepViolationError, sweep, sweep_params
 from ramsey.enumeration import EnumFilter, enumerate_graphs
 from ramsey.families import NameParseError, graph_from_name
 from ramsey.graphs import GraphError, embeds, graph6_encode
@@ -44,10 +43,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-def _budget_from(args) -> Optional[Budget]:
-    return Budget(max_seconds=args.budget) if args.budget is not None else None
 
 
 def _positive_int(text: str) -> int:
@@ -97,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify", help="sweep a bound over enumerated graphs")
-    p.add_argument("--theorem", required=True, choices=["t1", "t2", "l31", "l32", "t3"])
+    p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--q-max", type=int, default=None, help="largest edge count to sweep")
     p.add_argument("--k", type=int, default=None, help="k of K_{2,k} (l31/l32/t3)")
     p.add_argument("--json", metavar="FILE", default=None, help="also write JSON lines here")
@@ -123,7 +118,7 @@ def _cmd_ramsey(args) -> int:
     F = graph_from_name(args.red)
     G = graph_from_name(args.blue)
     r, witness = ramsey_number_with_witness(
-        F, G, n_max=args.max_n, budget=_budget_from(args), jobs=args.jobs)
+        F, G, n_max=args.max_n, budget=args.budget, jobs=args.jobs)
     print(r)
     if witness is not None:
         path = args.witness or f"{_slug(args.red)}_{_slug(args.blue)}.witness"
@@ -136,7 +131,7 @@ def _cmd_ramsey(args) -> int:
 def _cmd_arrows(args) -> int:
     F = graph_from_name(args.red)
     G = graph_from_name(args.blue)
-    out = arrows(args.n, F, G, budget=_budget_from(args), jobs=args.jobs)
+    out = arrows(args.n, F, G, budget=args.budget, jobs=args.jobs)
     if out.arrows:
         print("ARROWS")
     else:
@@ -198,7 +193,7 @@ def _cmd_verify(args) -> int:
 
     try:
         result = sweep(args.theorem, q_max=args.q_max, k=k,
-                       budget=_budget_from(args), jobs=args.jobs, on_report=emit,
+                       budget=args.budget, jobs=args.jobs, on_report=emit,
                        skip=skip or None)
     except SweepViolationError as e:
         print(f"VIOLATION: {e}", file=sys.stderr)

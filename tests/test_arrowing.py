@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from ramsey.arrowing import (
-    Budget,
     BudgetExceededError,
     SearchCapError,
     arrows,
@@ -19,12 +18,14 @@ from ramsey.arrowing import (
     verify_coloring,
     _has_matching,
     _make_check,
+    _run_search,
     _search,
+    _split,
 )
 from ramsey import arrowing
 from ramsey.families import graph_from_name
 from ramsey.enumeration import isolate_free_graphs
-from ramsey.graphs import complement, embeds, from_edges, lex_edges
+from ramsey.graphs import Graph, complement, embeds, from_edges, lex_edges
 
 from brute import brute_embeds, brute_good_coloring_exists, brute_graphs, brute_has_matching
 
@@ -103,16 +104,17 @@ class TestFindGoodColoring:
 
     def test_budget_is_a_distinct_outcome(self):
         with pytest.raises(BudgetExceededError):
-            arrows(9, C4, graph_from_name("4K2"), budget=Budget(max_nodes=50))
+            arrows(9, C4, graph_from_name("4K2"), budget=1e-9)
 
-    def test_one_deadline_across_pool_tasks(self):
-        # the split and every subtree share the search's deadline, so two
-        # workers do not each get the whole time budget
-        budget = Budget(max_seconds=0.5)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_deadline_across_pool_tasks(self, jobs):
+        # the split and every subtree share the search's deadline, so
+        # neither a subtree nor a worker gets the whole time budget again
+        budget = 0.5
         t0 = time.monotonic()
         with pytest.raises(BudgetExceededError):
-            arrows(11, C4, graph_from_name("5K2"), budget=budget, jobs=2)
-        assert time.monotonic() - t0 < 1.3 * budget.max_seconds
+            arrows(11, C4, graph_from_name("5K2"), budget=budget, jobs=jobs)
+        assert time.monotonic() - t0 < 1.3 * budget
 
     def test_deterministic_witness(self):
         a = arrows(6, C4, K3).witness
@@ -162,6 +164,29 @@ class TestPoolLifetime:
         assert arrows(8, C4, graph_from_name("2K3")).arrows
         assert opened == []
 
+    def test_jobs_run_the_same_subtrees(self, monkeypatch):
+        # jobs=1 searches, in this process and in the same order, the
+        # prefixes that jobs=2 submits to the pool
+        submitted = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args[-1])
+                return super().submit(fn, *args, **kwargs)
+        monkeypatch.setattr(arrowing, "ProcessPoolExecutor", RecordingPool)
+        searched = []
+        search = arrowing._search
+
+        def recording_search(*args, **kwargs):
+            if kwargs.get("prefix") is not None:
+                searched.append(kwargs["prefix"])
+            return search(*args, **kwargs)
+        monkeypatch.setattr(arrowing, "_search", recording_search)
+        M3 = graph_from_name("2K3")
+        assert arrows(8, C4, M3).nodes == arrows(8, C4, M3, jobs=2).nodes == 9583
+        assert len(searched) > 1
+        assert searched == submitted
+
 
 class TestArrows:
     def test_too_small_to_fit(self):
@@ -210,32 +235,41 @@ class TestArrows:
         assert coloring_to_text(arrows(7, C4, m3, jobs=2).witness) == text
 
     @pytest.mark.parametrize("n,blue", [(9, "4K2"), (8, "2K3")])
-    def test_vertex0_prefixes_check_once_per_node(self, monkeypatch, n, blue):
+    def test_vertex0_prefixes_check_once_per_node(self, n, blue):
         calls = [0]
-        make_check = arrowing._make_check
 
-        def counting_make_check(pat):
-            check = make_check(pat)
+        def counting_check(pat):
+            check = _make_check(pat)
 
             def counted(*args):
                 calls[0] += 1
                 return check(*args)
             return counted
-        monkeypatch.setattr(arrowing, "_make_check", counting_make_check)
-        prefixes = []
-        nodes = _search(n, C4, graph_from_name(blue), None, split=prefixes)[1]
-        tail = nodes - sum(lead for lead, _ in prefixes)
-        assert calls[0] <= nodes
+        *prefixes, (tail, end) = _split(n, counting_check(C4),
+                                        counting_check(graph_from_name(blue)), None)
+        assert end is None
+        assert calls[0] <= sum(lead for lead, _ in prefixes) + tail
         # a star holds neither C4 nor the blue pattern, so every coloring
         # survives, each after its b blue nodes
         assert prefixes == [(n - 1, [1] * (n - 1))] + [
             (b, [1] * (n - 1 - b) + [0] * b) for b in range(1, n)]
         assert tail == 0
 
-    def test_split_replays_the_sequential_search(self):
-        # the --jobs partition without a pool: the subtrees of the split's
-        # prefixes, searched in order, give the sequential witness and node
-        # total, over every pair of the 19 isolate-free patterns with q <= 4
+    def test_split_replays_the_sequential_search(self, monkeypatch):
+        # the split and its subtrees, searched in prefix order in this
+        # process, give the whole-tree DFS's witness, node total and
+        # anchored checks, no more, over every pair of the 19 isolate-free
+        # patterns with q <= 4
+        calls = [0]
+
+        def counting_make_check(pat):
+            check = _make_check(pat)
+
+            def counted(*args):
+                calls[0] += 1
+                return check(*args)
+            return counted
+        monkeypatch.setattr(arrowing, "_make_check", counting_make_check)
         pats = [g for q in range(1, 5) for g in isolate_free_graphs(q)]
         pairs = 0
         for n in range(4, 8):
@@ -244,18 +278,12 @@ class TestArrows:
                     if F.n > n and G.n > n:
                         continue  # decided before any search
                     pairs += 1
-                    want = _search(n, F, G, None)
-                    prefixes = []
-                    total = _search(n, F, G, None, split=prefixes)[1]
-                    red, nodes = None, 0
-                    for lead, prefix in prefixes:
-                        red, sub = _search(n, F, G, None, prefix=prefix)
-                        nodes += lead + sub
-                        if red is not None:
-                            break
-                    else:
-                        nodes += total - sum(lead for lead, _ in prefixes)
-                    assert (red, nodes) == want, (n, F.adj, G.adj)
+                    calls[0] = 0
+                    red, nodes = _search(n, counting_make_check(F), counting_make_check(G), None)
+                    want = (None if red is None else Graph(n, red), nodes, calls[0])
+                    calls[0] = 0
+                    got = _run_search(n, F, G, None, None) + (calls[0],)
+                    assert got == want, (n, F.adj, G.adj)
         assert pairs == 1282
 
     @pytest.mark.parametrize("red,blue,n", [
@@ -515,7 +543,7 @@ class TestMatchingByStructure:
         assert matching_arrows(0, K3, 1) == from_edges(0, [])
 
     def test_no_budget_is_spent(self):
-        r = ramsey_number(C4, graph_from_name("6K2"), budget=Budget(max_nodes=1, max_seconds=1e-9))
+        r = ramsey_number(C4, graph_from_name("6K2"), budget=1e-9)
         assert r == 13
 
     def test_cap_error(self):

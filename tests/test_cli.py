@@ -200,6 +200,22 @@ def test_budget_exceeded_exits_3(capsys):
     assert "budget exceeded" in err
 
 
+def test_budget_does_not_depend_on_jobs(capsys):
+    # a budget too small for any search leaves every searched class
+    # incomplete, with one worker or two; the matchings are decided by
+    # structure, with no budget
+    footers = []
+    for jobs in ("1", "2"):
+        code = main(["verify", "--theorem", "t1", "--q-max", "4", "--budget", "1e-9",
+                     "--jobs", jobs])
+        assert code == EXIT_BUDGET
+        footers.append(json.loads(capsys.readouterr().out.splitlines()[-1]))
+    assert footers[0] == footers[1]
+    summary = footers[0]["summary"]
+    assert len(summary["incomplete"]) == 15
+    assert summary["equality"] == ["2K2", "3K2", "4K2"]
+
+
 def test_cli_import_leaves_the_pool_and_dataclasses_unloaded():
     # a sequential run never opens a pool, so importing the CLI must not
     # pay for concurrent.futures (with multiprocessing) or dataclasses
