@@ -40,6 +40,16 @@ K23 = graph_from_name("K2,3")
 BULL = from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
 
 
+def counting_check(pat, calls):
+    """_make_check(pat), adding 1 to calls[0] on every call."""
+    check = _make_check(pat)
+
+    def counted(*args):
+        calls[0] += 1
+        return check(*args)
+    return counted
+
+
 class TestColoring:
     def test_from_text_total(self):
         red = coloring_from_text("n=3\nred=0-1\n")
@@ -237,16 +247,8 @@ class TestArrows:
     @pytest.mark.parametrize("n,blue", [(9, "4K2"), (8, "2K3")])
     def test_vertex0_prefixes_check_once_per_node(self, n, blue):
         calls = [0]
-
-        def counting_check(pat):
-            check = _make_check(pat)
-
-            def counted(*args):
-                calls[0] += 1
-                return check(*args)
-            return counted
-        *prefixes, (tail, end) = _split(n, counting_check(C4),
-                                        counting_check(graph_from_name(blue)), None)
+        *prefixes, (tail, end) = _split(n, counting_check(C4, calls),
+                                        counting_check(graph_from_name(blue), calls), None)
         assert end is None
         assert calls[0] <= sum(lead for lead, _ in prefixes) + tail
         # a star holds neither C4 nor the blue pattern, so every coloring
@@ -261,15 +263,7 @@ class TestArrows:
         # anchored checks, no more, over every pair of the 19 isolate-free
         # patterns with q <= 4
         calls = [0]
-
-        def counting_make_check(pat):
-            check = _make_check(pat)
-
-            def counted(*args):
-                calls[0] += 1
-                return check(*args)
-            return counted
-        monkeypatch.setattr(arrowing, "_make_check", counting_make_check)
+        monkeypatch.setattr(arrowing, "_make_check", lambda pat: counting_check(pat, calls))
         pats = [g for q in range(1, 5) for g in isolate_free_graphs(q)]
         pairs = 0
         for n in range(4, 8):
@@ -279,7 +273,7 @@ class TestArrows:
                         continue  # decided before any search
                     pairs += 1
                     calls[0] = 0
-                    red, nodes = _search(n, counting_make_check(F), counting_make_check(G), None)
+                    red, nodes = _search(n, counting_check(F, calls), counting_check(G, calls), None)
                     want = (None if red is None else Graph(n, red), nodes, calls[0])
                     calls[0] = 0
                     got = _run_search(n, F, G, None, None) + (calls[0],)
