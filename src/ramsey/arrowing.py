@@ -33,12 +33,14 @@ reduced tree holds a good coloring iff one exists.  The DFS meets
 colorings in falling lex order, so the first it finds is the lex-greatest
 good coloring, with or without the breaks.
 
-Every search splits at the end of block 0, and one loop consumes the
-surviving block colorings and their subtrees in prefix order, so the
-witness and node count are the whole-tree DFS's for any jobs.  With
-jobs=1 the subtrees run lazily in this process; with more, as tasks on a
-process pool that lives for one scan (one arrows call, or one
-ramsey_number scan over every order n) and whose concurrent.futures
+So block 0 is fixed by one number, vertex 0's red degree d, and the DFS
+meets the blocks in falling d.  Every search splits there: _split yields
+each d whose red and blue stars miss F and G, and one loop consumes them
+and the subtree of blocks 1 and up below each, so the witness and node
+count are the whole-tree DFS's (kept in the tests as the oracle) for any
+jobs.  With jobs=1 the subtrees run lazily in this process; with more,
+as tasks on a process pool that lives for one scan (one arrows call, or
+one ramsey_number scan over every order n) and whose concurrent.futures
 import waits for the first pool.  A budget is a number of seconds: one
 deadline per order n, shared by the split and every subtree.
 
@@ -261,47 +263,35 @@ def _lex_violated(red: list[int], u: int, v: int) -> bool:
     return False
 
 
-def _search(n: int, red_check, blue_check, deadline: Optional[float],
-            prefix: Optional[list[int]] = None):
-    """DFS for a good coloring of K_n, red_check and blue_check being the
-    anchored checks (_make_check) of F and G.
+def _search(n: int, red_check, blue_check, deadline: Optional[float], d: int):
+    """DFS for a good coloring of K_n whose vertex 0 has red edges
+    (0, 1)..(0, d) and blue edges to the rest, red_check and blue_check
+    being the anchored checks (_make_check) of F and G.  It colors blocks
+    1 and up, edge (u, v) after edge (u, v-1), red before blue.
 
-    Both symmetry breaks of the module docstring apply: vertex 0's edges
-    go red then blue, and a red edge (u, v), or a blue first edge
-    (u, u+1) of block u, is pruned when row u then exceeds an earlier row
-    (_lex_violated; never for u = 0).  The blue case is sound because
+    Block 0 is not checked here, and the anchored checks of later edges
+    assume neither of its color classes holds its pattern, so d must come
+    from _split, which checks each edge as it adds it.  A red edge (u, v),
+    or a blue first edge (u, u+1) of block u, is pruned when row u then
+    exceeds an earlier row (_lex_violated).  The blue case is sound because
     row u is set on columns 0..u+1 once (u, u+1) has a colour: columns
     below u by the earlier blocks, column u+1 by this edge.
 
-    prefix, when given, fixes the colors (1=red, 0=blue) of vertex 0's
-    first len(prefix) edges, the first lexicographic ones; the symmetry
-    breaks are only applied to edges the DFS assigns itself.  The prefix
-    edges are not checked here, and the anchored checks of later edges
-    assume neither color class of the prefix holds its pattern, so
-    prefixes must come from _split, which checks each edge as it adds it.
-    Without one, this is the whole-tree DFS that _split and the subtrees
-    replay.
-
     deadline is a time.monotonic() instant, or None for no limit; past it
-    the search raises BudgetExceededError, at once if it starts late.
+    the search raises BudgetExceededError, carrying its nodes, at once if
+    it starts late.
 
     Patterns with no edges, and pairs of which neither fits in K_n, are
     decided by _run_search before it gets here.
 
     Returns (red rows of the good coloring or None, nodes).
     """
-    edges = lex_edges(n)
-    m = len(edges)
     red = [0] * n
     blue = [0] * n
-    col = [-1] * m
-
-    prefix = prefix or []
-    col[:len(prefix)] = prefix
-    for v, c in enumerate(prefix, 1):
-        rows = red if c else blue
+    for v in range(1, n):
+        rows = red if v <= d else blue
         rows[0] |= 1 << v
-        rows[v] |= 1
+        rows[v] = 1
 
     nodes = 0
 
@@ -309,15 +299,15 @@ def _search(n: int, red_check, blue_check, deadline: Optional[float],
         raise BudgetExceededError(
             f"arrowing search for n={n} exceeded its budget", nodes=nodes)
 
-    def dfs(k: int) -> bool:
+    def dfs(u: int, v: int) -> bool:
         nonlocal nodes
-        if k == m:
-            return True
-        u, v = edges[k]
+        if v == n:  # block u is done; block u+1 starts at (u+1, u+2)
+            u += 1
+            v = u + 1
+            if v >= n:
+                return True
         ubit, vbit = 1 << u, 1 << v
-        # symmetry break: vertex 0's edges are non-increasing (red then blue)
-        colors = (1, 0) if (k == 0 or k >= n - 1 or col[k - 1] == 1) else (0,)
-        for color in colors:
+        for color in (1, 0):
             nodes += 1
             if (not nodes & _CHECK_MASK and deadline is not None
                     and time.monotonic() > deadline):
@@ -326,8 +316,7 @@ def _search(n: int, red_check, blue_check, deadline: Optional[float],
                 red[u] |= vbit
                 red[v] |= ubit
                 if not (_lex_violated(red, u, v) or red_check(red, n, u, v)):
-                    col[k] = 1
-                    if dfs(k + 1):
+                    if dfs(u, v + 1):
                         return True
                 red[u] &= ~vbit
                 red[v] &= ~ubit
@@ -336,73 +325,64 @@ def _search(n: int, red_check, blue_check, deadline: Optional[float],
                 blue[v] |= ubit
                 # a block's first edge completes row u on columns 0..u+1
                 if not ((v == u + 1 and _lex_violated(red, u, v)) or blue_check(blue, n, u, v)):
-                    col[k] = 0
-                    if dfs(k + 1):
+                    if dfs(u, v + 1):
                         return True
                 blue[u] &= ~vbit
                 blue[v] &= ~ubit
-        col[k] = -1
         return False
 
     # a subtree can start after the shared deadline has passed
     if deadline is not None and time.monotonic() > deadline:
         bail()
-    found = dfs(len(prefix))
+    found = dfs(0, n)
     return (red if found else None), nodes
 
 
 def _split(n, red_check, blue_check, deadline):
-    """Vertex 0's block, colored lazily as _search's DFS colors it: yields
-    (nodes since the previous pair, colors) for each surviving coloring of
-    its n-1 edges, in DFS order, then (nodes after the last one, None).  A
-    consumer that stops at a witness has made the whole-tree DFS's checks
-    and nodes, no more.  The block has no lex-leader test (u = 0) and
-    under 4096 nodes, so the deadline is read once, at the start.
+    """Vertex 0's block, colored lazily as the whole-tree DFS colors it:
+    yields (nodes since the previous pair, d) for each surviving d, then
+    (nodes after the last one, None).
+
+    The vertex-0 rule lets through one shape of block: red edges
+    (0, 1)..(0, d), blue edges to the rest.  The red star grows edge by
+    edge until red_check fires or it spans the block.  Then, with d
+    falling from there to 0, the blue star on (0, d+1)..(0, n-1) grows
+    edge by edge, and d survives if blue_check never fires.  That is the
+    DFS's order of nodes and checks, so a consumer that stops at a witness
+    has made the whole-tree DFS's checks and nodes, no more.  The block
+    has no lex-leader test (u = 0) and under 4096 nodes, so the deadline
+    is read once, at the start.
     """
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetExceededError(f"arrowing search for n={n} exceeded its budget")
-    m = max(n - 1, 0)
-    rows = ([0] * n, [0] * n)  # blue, red
-    checks = (blue_check, red_check)
-    col = []
-    nodes = last = 0
-
-    def dfs(k):
-        nonlocal nodes, last
-        if k == m:
-            yield nodes - last, col[:]
-            last = nodes
-            return
-        v = k + 1
-        # vertex 0's edges are non-increasing (red then blue)
-        for color in ((1, 0) if k == 0 or col[-1] else (0,)):
+    red = [0] * n
+    nodes = d = 0
+    while d < n - 1:
+        nodes += 1
+        v = d + 1
+        red[0] |= 1 << v
+        red[v] = 1
+        if red_check(red, n, 0, v):
+            break
+        d = v
+    last = 0
+    for d in range(d, -1, -1):
+        blue = [0] * n
+        for v in range(d + 1, n):
             nodes += 1
-            adj = rows[color]
-            adj[0] |= 1 << v
-            adj[v] |= 1
-            if not checks[color](adj, n, 0, v):
-                col.append(color)
-                yield from dfs(v)
-                col.pop()
-            adj[0] &= ~(1 << v)
-            adj[v] &= ~1
-
-    yield from dfs(0)
+            blue[0] |= 1 << v
+            blue[v] = 1
+            if blue_check(blue, n, 0, v):
+                break
+        else:
+            yield nodes - last, d
+            last = nodes
     yield nodes - last, None
 
 
-def _subtree(n, red_check, blue_check, deadline, prefix):
-    """(red rows or None, nodes, whether the deadline passed) for the
-    subtree below one prefix of the split."""
-    try:
-        return (*_search(n, red_check, blue_check, deadline, prefix=prefix), False)
-    except BudgetExceededError as e:
-        return None, e.nodes, True
-
-
-def _search_task(n, F, G, deadline, prefix):
-    """Pool task: _subtree, with the anchored checks built in the worker."""
-    return _subtree(n, _make_check(F), _make_check(G), deadline, prefix)
+def _search_task(n, F, G, deadline, d):
+    """Pool task: _search, with the anchored checks built in the worker."""
+    return _search(n, _make_check(F), _make_check(G), deadline, d)
 
 
 def _pool(jobs: int):
@@ -421,13 +401,14 @@ def _run_search(n, F, G, budget, pool):
     """(witness or None, nodes) for K_n against (F, G); the witness is a
     good coloring's red graph.
 
-    One loop consumes _split's prefixes and their subtrees in prefix
-    order, as the whole-tree DFS meets them.  pool is the caller's process
-    pool, which serves its whole scan, or None to search each subtree in
-    this process when the loop reaches it.  The anchored checks are built
-    once here, and once per pool task in its worker.  budget, in seconds
-    or None, is one deadline from this call's start for the split and
-    every subtree.
+    One loop consumes _split's values of d and the subtree below each, in
+    falling d, as the whole-tree DFS meets them.  pool is the caller's
+    process pool, which serves its whole scan, or None to search each
+    subtree in this process when the loop reaches it.  The anchored checks
+    are built once here, and once per pool task in its worker.  budget, in
+    seconds or None, is one deadline from this call's start for the split
+    and every subtree.  An overrun, from the split, a subtree or a pool
+    task, is raised again with every node counted so far.
     """
     if not 0 <= n <= MAX_VERTICES:
         raise GraphError(f"order {n} outside 0..{MAX_VERTICES}")
@@ -445,28 +426,28 @@ def _run_search(n, F, G, budget, pool):
     if pool is None:
         futures = ()
 
-        def result(prefix):
-            return _subtree(n, red_check, blue_check, deadline, prefix)
+        def result(d):
+            return _search(n, red_check, blue_check, deadline, d)
     else:
         split = list(split)
-        futures = [pool.submit(_search_task, n, F, G, deadline, p) for _, p in split[:-1]]
+        futures = [pool.submit(_search_task, n, F, G, deadline, d) for _, d in split[:-1]]
         pending = iter(futures)
 
-        def result(prefix):
+        def result(d):
             return next(pending).result()
     nodes = 0
     try:
-        for lead, prefix in split:
+        for lead, d in split:
             nodes += lead
-            if prefix is None:
-                break  # the split's nodes after its last prefix
-            red, sub, out_of_time = result(prefix)
+            if d is None:
+                break  # the split's nodes after its last d
+            red, sub = result(d)
             nodes += sub
-            if out_of_time:
-                raise BudgetExceededError(
-                    f"arrowing search for n={n} exceeded its budget", nodes=nodes)
             if red is not None:
                 return Graph(n, red), nodes
+    except BudgetExceededError as e:
+        e.nodes += nodes
+        raise
     finally:
         for fut in futures:
             fut.cancel()

@@ -178,8 +178,10 @@ def _resumed_reports(path: str, theorem: str, k: int) -> list[BoundReport]:
 def _cmd_verify(args) -> int:
     # check the arguments before the --json file is opened, and emptied
     k = sweep_params(args.theorem, args.q_max, args.k)[3]
+    if args.resume and not args.json:
+        raise ValueError("--resume needs --json FILE, the file to resume from")
     prior = []
-    if args.resume and args.json and os.path.exists(args.json):
+    if args.resume and os.path.exists(args.json):
         prior = _resumed_reports(args.json, args.theorem, k)
     skip = {r.g6 for r in prior}
     sink = open(args.json, "a" if args.resume else "w") if args.json else None

@@ -2,6 +2,7 @@
 
 import itertools
 
+from ramsey.arrowing import _lex_violated
 from ramsey.graphs import (
     Graph,
     _refine_colors,
@@ -71,6 +72,43 @@ def brute_good_coloring_exists(n: int, F: Graph, G: Graph) -> bool:
         if not brute_embeds(F, R) and not brute_embeds(G, B):
             return True
     return False
+
+
+def brute_lex_leader_search(n: int, red_check, blue_check):
+    """The whole-tree DFS that arrowing._split and _search replay between
+    them: every edge of K_n in lexicographic order, red before blue, vertex
+    0's edges red then blue, and _lex_violated tested on a red edge and on
+    a block's first edge.  Each surviving edge goes through its colour's
+    anchored check.  Returns (red rows of the first good coloring or None,
+    nodes)."""
+    edges = lex_edges(n)
+    red = [0] * n
+    blue = [0] * n
+    col = [-1] * len(edges)
+    nodes = 0
+
+    def dfs(k: int) -> bool:
+        nonlocal nodes
+        if k == len(edges):
+            return True
+        u, v = edges[k]
+        # vertex 0's edges are non-increasing (red then blue)
+        for color in (1, 0) if k == 0 or k >= n - 1 or col[k - 1] == 1 else (0,):
+            nodes += 1
+            rows, check = (red, red_check) if color else (blue, blue_check)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            lex = (color or v == u + 1) and _lex_violated(red, u, v)
+            if not (lex or check(rows, n, u, v)):
+                col[k] = color
+                if dfs(k + 1):
+                    return True
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+        return False
+
+    found = dfs(0)
+    return (red if found else None), nodes
 
 
 def brute_graphs(n: int) -> list[Graph]:

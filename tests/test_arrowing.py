@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +20,6 @@ from ramsey.arrowing import (
     _has_matching,
     _make_check,
     _run_search,
-    _search,
     _split,
 )
 from ramsey import arrowing
@@ -27,7 +27,13 @@ from ramsey.families import graph_from_name
 from ramsey.enumeration import isolate_free_graphs
 from ramsey.graphs import Graph, complement, embeds, from_edges, lex_edges
 
-from brute import brute_embeds, brute_good_coloring_exists, brute_graphs, brute_has_matching
+from brute import (
+    brute_embeds,
+    brute_good_coloring_exists,
+    brute_graphs,
+    brute_has_matching,
+    brute_lex_leader_search,
+)
 
 C4 = graph_from_name("C4")
 K2 = graph_from_name("K2")
@@ -122,9 +128,17 @@ class TestFindGoodColoring:
         # neither a subtree nor a worker gets the whole time budget again
         budget = 0.5
         t0 = time.monotonic()
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as exc:
             arrows(11, C4, graph_from_name("5K2"), budget=budget, jobs=jobs)
         assert time.monotonic() - t0 < 1.3 * budget
+        assert exc.value.nodes > 0
+
+    def test_budget_error_keeps_nodes_through_pickle(self):
+        # a pool task's overrun reaches the parent pickled, with its nodes
+        e = pickle.loads(pickle.dumps(BudgetExceededError("over", nodes=1234)))
+        assert type(e) is BudgetExceededError
+        assert e.nodes == 1234
+        assert str(e) == "over"
 
     def test_deterministic_witness(self):
         a = arrows(6, C4, K3).witness
@@ -176,7 +190,7 @@ class TestPoolLifetime:
 
     def test_jobs_run_the_same_subtrees(self, monkeypatch):
         # jobs=1 searches, in this process and in the same order, the
-        # prefixes that jobs=2 submits to the pool
+        # red degrees d of vertex 0 that jobs=2 submits to the pool
         submitted = []
 
         class RecordingPool(ProcessPoolExecutor):
@@ -187,10 +201,9 @@ class TestPoolLifetime:
         searched = []
         search = arrowing._search
 
-        def recording_search(*args, **kwargs):
-            if kwargs.get("prefix") is not None:
-                searched.append(kwargs["prefix"])
-            return search(*args, **kwargs)
+        def recording_search(*args):
+            searched.append(args[-1])
+            return search(*args)
         monkeypatch.setattr(arrowing, "_search", recording_search)
         M3 = graph_from_name("2K3")
         assert arrows(8, C4, M3).nodes == arrows(8, C4, M3, jobs=2).nodes == 9583
@@ -247,18 +260,36 @@ class TestArrows:
     @pytest.mark.parametrize("n,blue", [(9, "4K2"), (8, "2K3")])
     def test_vertex0_prefixes_check_once_per_node(self, n, blue):
         calls = [0]
-        *prefixes, (tail, end) = _split(n, counting_check(C4, calls),
-                                        counting_check(graph_from_name(blue), calls), None)
+        *survivors, (tail, end) = _split(n, counting_check(C4, calls),
+                                         counting_check(graph_from_name(blue), calls), None)
         assert end is None
-        assert calls[0] <= sum(lead for lead, _ in prefixes) + tail
-        # a star holds neither C4 nor the blue pattern, so every coloring
-        # survives, each after its b blue nodes
-        assert prefixes == [(n - 1, [1] * (n - 1))] + [
-            (b, [1] * (n - 1 - b) + [0] * b) for b in range(1, n)]
+        assert calls[0] <= sum(lead for lead, _ in survivors) + tail
+        # a star holds neither C4 nor the blue pattern, so every d survives,
+        # in falling order, each after its n-1-d blue nodes
+        assert survivors == [(n - 1, n - 1)] + [(n - 1 - d, d) for d in range(n - 2, -1, -1)]
         assert tail == 0
 
+    def test_split_survivors_are_the_star_colorings(self):
+        # d survives iff F misses the red star (0,1)..(0,d) and G the blue
+        # star on vertex 0's other n-1-d edges, and d falls
+        def star(n, leaves):
+            return from_edges(n, [(0, v) for v in leaves])
+        pats = [g for q in range(1, 5) for g in isolate_free_graphs(q)]
+        triples = 0
+        for n in range(2, 9):
+            for F in pats:
+                for G in pats:
+                    triples += 1
+                    *survivors, (_, end) = _split(n, _make_check(F), _make_check(G), None)
+                    assert end is None
+                    want = [d for d in range(n - 1, -1, -1)
+                            if not embeds(F, star(n, range(1, d + 1)))
+                            and not embeds(G, star(n, range(d + 1, n)))]
+                    assert [d for _, d in survivors] == want, (n, F.adj, G.adj)
+        assert triples == 2527
+
     def test_split_replays_the_sequential_search(self, monkeypatch):
-        # the split and its subtrees, searched in prefix order in this
+        # the split and its subtrees, searched in falling d in this
         # process, give the whole-tree DFS's witness, node total and
         # anchored checks, no more, over every pair of the 19 isolate-free
         # patterns with q <= 4
@@ -273,7 +304,8 @@ class TestArrows:
                         continue  # decided before any search
                     pairs += 1
                     calls[0] = 0
-                    red, nodes = _search(n, counting_check(F, calls), counting_check(G, calls), None)
+                    red, nodes = brute_lex_leader_search(
+                        n, counting_check(F, calls), counting_check(G, calls))
                     want = (None if red is None else Graph(n, red), nodes, calls[0])
                     calls[0] = 0
                     got = _run_search(n, F, G, None, None) + (calls[0],)
@@ -287,7 +319,7 @@ class TestArrows:
     ])
     def test_jobs_do_not_change_nodes(self, red, blue, n):
         # the parallel path counts the vertex-0 nodes the sequential DFS
-        # visits before, between and after the prefixes it hands out
+        # visits before, between and after the values of d it hands out
         F, G = graph_from_name(red), graph_from_name(blue)
         seq = arrows(n, F, G)
         par = arrows(n, F, G, jobs=2)

@@ -143,6 +143,15 @@ def test_resume_footer_counts_every_row(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == rows[-1]
 
 
+def test_resume_needs_a_json_file(monkeypatch, capsys):
+    # with no file to resume from, --resume is an error before any search
+    monkeypatch.setattr(arrowing, "_run_search", None)
+    assert main(["verify", "--theorem", "t1", "--q-max", "2", "--resume"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--resume needs --json" in err
+
+
 @pytest.mark.parametrize("text,message", [
     ('{"graph": {"g6": "BW"}}\n', "bad report line"),
     ('{"summary": {"graphs": 0}}\n', "bad report line"),
