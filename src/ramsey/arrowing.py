@@ -5,8 +5,12 @@ The search colors the edges of K_n in lexicographic order, depth-first,
 red before blue.  After each assignment only copies of the forbidden
 pattern that use the newest edge can have appeared, so an anchored
 containment check at that edge keeps the search tree sound and complete.
-A coloring that survives all assignments ("good coloring") witnesses
-n < r(F, G); if the symmetry-reduced tree is exhausted, K_n arrows (F, G).
+The two checks do not depend on n, so each scan builds them once (one
+arrows call, or one ramsey_number scan over every order n); the generic
+one places the pattern less its K_2 components and hands those to the
+matching kernel (_make_check).  A coloring that survives all assignments
+("good coloring") witnesses n < r(F, G); if the symmetry-reduced tree is
+exhausted, K_n arrows (F, G).
 A witness is the red graph of a good coloring; blue is its complement.
 
 Two symmetry breaks cut isomorphic colorings from the tree.  Read the red
@@ -39,9 +43,9 @@ each d whose red and blue stars miss F and G, and one loop consumes them
 and the subtree of blocks 1 and up below each, so the witness and node
 count are the whole-tree DFS's (kept in the tests as the oracle) for any
 jobs.  With jobs=1 the subtrees run lazily in this process; with more,
-as tasks on a process pool that lives for one scan (one arrows call, or
-one ramsey_number scan over every order n) and whose concurrent.futures
-import waits for the first pool.  A budget is a number of seconds: one
+as tasks on a process pool that lives for one scan, or for a whole
+bounds sweep that passes its own, and whose concurrent.futures import
+waits for the first pool.  A budget is a number of seconds: one
 deadline per order n, shared by the split and every subtree.
 
 A Ramsey number with a matching mK_2 on either side is decided by
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+from functools import reduce
 from typing import NamedTuple, Optional
 
 from ramsey.graphs import (
@@ -68,8 +73,11 @@ from ramsey.graphs import (
     _as_matching,
     _bits,
     _has_matching,
+    _unchecked_graph,
     as_biclique,
     complement,
+    components,
+    disjoint_union,
     embed_plan,
     embeds,
     extend_embedding,
@@ -157,7 +165,8 @@ def coloring_from_text(text: str) -> Graph:
             raise ValueError(f"red edge ({i},{j}) out of range for n={n}")
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    return Graph(n, adj)
+    # every pair was range-checked and set both ways above
+    return _unchecked_graph(n, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +186,23 @@ def _make_check(pat: Graph):
     checks only look for copies that use (u, v), so on a class that
     already held pat they may answer False.
 
-    The generic check keeps one anchored plan per orbit of directed pattern
-    edges under pat's automorphisms.  If sigma is an automorphism, a copy
-    that maps sigma(e) onto (u, v) is sigma followed by a copy that maps e
-    onto (u, v), so the plan for e finds every copy the plan for sigma(e)
-    would.  A kept plan for e finds such a sigma when it embeds pat into
-    itself with e's ends on sigma(e)'s: an injective self-map that carries
-    edges to edges is an automorphism.
+    The generic check splits pat into its m K_2 components and the rest, R.
+    Its plans place R only, and each plan's leaf asks the matching kernel
+    for the K_2s among the vertices the plan left free, so a failing check
+    never tries the orders and orientations of the K_2s one by one.  It
+    keeps one anchored plan per orbit of R's directed edges under R's
+    automorphisms, each asking for m K_2s, and when m > 0 one more for an
+    anchor on a K_2, which places R anywhere else and asks for m - 1.
+    Either way a copy leaves m disjoint edges beside u and v (m - 1 if R
+    has no edge), so a class with fewer fails before any plan runs.
+
+    If sigma is an automorphism of R, a copy that maps sigma(e) onto (u, v)
+    is sigma followed by a copy that maps e onto (u, v), with the same
+    image, so the plan for e finds every copy the plan for sigma(e) would.
+    A kept plan for e finds such a sigma when it embeds R into itself with
+    e's ends on sigma(e)'s: an injective self-map that carries edges to
+    edges is an automorphism.  With no K_2 component R is pat, and the
+    plans and the kernel's path are those of a check with no split.
     """
     m = _as_matching(pat)
     if m is not None:
@@ -218,25 +237,41 @@ def _make_check(pat: Graph):
                     return True
             return False
         return check_biclique
-    # a new copy maps some pattern edge (a, b) onto (u, v), one way round or
-    # the other: one anchored plan per directed edge orbit, run by the
+    # the m K_2 components go to the matching kernel at each plan's leaf,
+    # and the plans place the rest, R
+    parts = components(pat)
+    m = sum(c.n == 2 for c in parts)
+    rest = reduce(disjoint_union, [c for c in parts if c.n != 2]) if m else pat
+    # a new copy maps some edge (a, b) of R onto (u, v), one way round or
+    # the other: one anchored plan per directed edge orbit of R, run by the
     # kernel the containment section of graphs.py describes
     plans = []
-    rest = [0] * (pat.n - 2)
-    for a in range(pat.n):
-        for b in _bits(pat.adj[a]):
-            free = ((1 << pat.n) - 1) & ~((1 << a) | (1 << b))
-            if not any(extend_embedding(pat.adj, free, plan, [a, b] + rest, 2) for plan in plans):
-                plans.append(embed_plan(pat, (a, b)))
+    pad = [0] * (rest.n - 2)
+    for a in range(rest.n):
+        for b in _bits(rest.adj[a]):
+            free = ((1 << rest.n) - 1) & ~((1 << a) | (1 << b))
+            if not any(extend_embedding(rest.adj, free, plan, [a, b] + pad, 2) for plan in plans):
+                plans.append(embed_plan(rest, (a, b)))
+    if m:
+        # each leaf asks for the K_2s; or (u, v) is one of them, R lies
+        # anywhere else, and m - 1 K_2s beside it
+        for plan in plans:
+            plan[-1] = (None, m)
+        plans.append(embed_plan(disjoint_union(Graph(2, (2, 1)), rest), (0, 1), m - 1))
 
-    def check_generic(adj, n, u, v, _plans=plans):
+    # the K_2s beside (u, v) and, if it is one of them, an edge of R
+    least = m - (rest.q == 0) if m else 0
+
+    def check_generic(adj, n, u, v, _plans=plans, _least=least):
         du = adj[u].bit_count()
         dv = adj[v].bit_count()
         free = ((1 << n) - 1) & ~((1 << u) | (1 << v))
+        if _least and not _has_matching(adj, free, _least):
+            return False
         for plan in _plans:
             # steps 0 and 1 are the anchor's ends, mapped onto u and v
             if (du >= plan[0][1] and dv >= plan[1][1]
-                    and extend_embedding(adj, free, plan, [u, v] + [0] * (len(plan) - 2), 2)):
+                    and extend_embedding(adj, free, plan, [u, v] + [0] * (len(plan) - 3), 2)):
                 return True
         return False
     return check_generic
@@ -397,18 +432,20 @@ def _pool(jobs: int):
     return ProcessPoolExecutor(max_workers=jobs)
 
 
-def _run_search(n, F, G, budget, pool):
+def _run_search(n, F, G, checks, budget, pool):
     """(witness or None, nodes) for K_n against (F, G); the witness is a
     good coloring's red graph.
 
     One loop consumes _split's values of d and the subtree below each, in
-    falling d, as the whole-tree DFS meets them.  pool is the caller's
-    process pool, which serves its whole scan, or None to search each
-    subtree in this process when the loop reaches it.  The anchored checks
-    are built once here, and once per pool task in its worker.  budget, in
-    seconds or None, is one deadline from this call's start for the split
-    and every subtree.  An overrun, from the split, a subtree or a pool
-    task, is raised again with every node counted so far.
+    falling d, as the whole-tree DFS meets them.  checks is the pair of
+    anchored checks (_make_check) of F and G, which the caller builds once
+    for its whole scan, since they do not depend on n.  pool is the
+    caller's process pool, which serves its whole scan, or None to search
+    each subtree in this process when the loop reaches it; each pool task
+    builds its own checks in its worker.  budget, in seconds or None, is
+    one deadline from this call's start for the split and every subtree.
+    An overrun, from the split, a subtree or a pool task, is raised again
+    with every node counted so far.
     """
     if not 0 <= n <= MAX_VERTICES:
         raise GraphError(f"order {n} outside 0..{MAX_VERTICES}")
@@ -420,8 +457,7 @@ def _run_search(n, F, G, budget, pool):
     if F.q > 0 and F.n > n and G.q > 0 and G.n > n:
         # nothing fits; any coloring is good
         return from_edges(n, lex_edges(n)), 0
-    red_check = _make_check(F)
-    blue_check = _make_check(G)
+    red_check, blue_check = checks
     split = _split(n, red_check, blue_check, deadline)
     if pool is None:
         futures = ()
@@ -464,8 +500,9 @@ def arrows(n: int, F: Graph, G: Graph, budget: Optional[float] = None,
     when it runs out first; that outcome is never silently coerced to
     either answer.
     """
+    checks = _make_check(F), _make_check(G)
     with _pool(jobs) as pool:
-        witness, nodes = _run_search(n, F, G, budget, pool)
+        witness, nodes = _run_search(n, F, G, checks, budget, pool)
     return ArrowingOutcome(witness is None, witness, nodes)
 
 
@@ -551,7 +588,7 @@ def _scan(start: int, n_max: int, good):
 
 
 def ramsey_number(F: Graph, G: Graph, n_max: int = 32,
-                  budget: Optional[float] = None, jobs: int = 1) -> int:
+                  budget: Optional[float] = None, jobs: int = 1, pool=None) -> int:
     """Least n with arrows(n, F, G), found by scanning upward.
 
     The scan starts at the larger pattern's order: below it that pattern
@@ -559,12 +596,12 @@ def ramsey_number(F: Graph, G: Graph, n_max: int = 32,
     ValueError if n_max is below that start, and SearchCapError if n_max
     is reached first.
     """
-    r, _ = ramsey_number_with_witness(F, G, n_max=n_max, budget=budget, jobs=jobs)
+    r, _ = ramsey_number_with_witness(F, G, n_max=n_max, budget=budget, jobs=jobs, pool=pool)
     return r
 
 
 def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
-                               budget: Optional[float] = None, jobs: int = 1):
+                               budget: Optional[float] = None, jobs: int = 1, pool=None):
     """(r, witness at r-1).  The witness is None only when r-1 admits no
     coloring at all (r <= 1).
 
@@ -574,10 +611,12 @@ def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
     matching, the scan decides (G, F) that way and returns the complement
     of its witness, since r(F, G) = r(G, F).
 
-    Otherwise each order n is searched.  With jobs > 1 one process pool,
-    imported and started on first use, serves the whole scan.  The budget,
-    in seconds, applies to each order n on its own: one deadline per order,
-    not one for the scan.
+    Otherwise each order n is searched, with the anchored checks of F and
+    G built once for the whole scan.  With jobs > 1 one process pool,
+    imported and started on first use, serves the whole scan; a caller
+    that makes many scans passes its own open pool (from _pool) instead,
+    and jobs is then not read.  The budget, in seconds, applies to each
+    order n on its own: one deadline per order, not one for the scan.
     """
     if n_max > MAX_VERTICES:
         raise GraphError(f"n_max exceeds cap {MAX_VERTICES}")
@@ -594,5 +633,6 @@ def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
         # the same colorings with red and blue swapped
         r, witness = _scan(start, n_max, lambda n: matching_arrows(n, G, m))
         return r, None if witness is None else complement(witness)
-    with _pool(jobs) as pool:
-        return _scan(start, n_max, lambda n: _run_search(n, F, G, budget, pool)[0])
+    checks = _make_check(F), _make_check(G)
+    with _pool(jobs) if pool is None else contextlib.nullcontext(pool) as pool:
+        return _scan(start, n_max, lambda n: _run_search(n, F, G, checks, budget, pool)[0])

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from typing import Callable, NamedTuple, Optional
 
-from ramsey.arrowing import BudgetExceededError, ramsey_number
+from ramsey.arrowing import BudgetExceededError, _pool, ramsey_number
 from ramsey.enumeration import EnumFilter, enumerate_graphs, isolate_free_graphs
 from ramsey.families import biclique, cycle, describe, path
 from ramsey.graphs import Graph, canonical_form, disjoint_union, graph6_encode, is_connected
@@ -178,49 +178,51 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
     naming the counterexample; per-graph budget exhaustion is recorded in
     .incomplete instead of aborting the sweep.
 
-    Each graph's Ramsey number is one scan over n: with jobs > 1 it opens
-    one process pool for that scan, and the budget, in seconds, is one
-    deadline for each order n of it.  A matching G is decided by structure,
-    with no search, pool or budget (arrowing.matching_arrows).
+    Each graph's Ramsey number is one scan over n, and the budget, in
+    seconds, is one deadline for each order n of it.  With jobs > 1 one
+    process pool serves every scan of the sweep.  A matching G is decided
+    by structure, with no search, pool or budget
+    (arrowing.matching_arrows).
     """
     theorem, q_min, q_max, k, F = sweep_params(theorem, q_max, k)
     result = SweepResult(theorem)
-    for q in range(q_min, q_max + 1):
-        for g in isolate_free_graphs(q):
-            p = g.n
-            if theorem == "t2" and p < 3:
-                continue
-            if theorem == "l31" and not _is_path_star_or_triangle(g):
-                continue
-            g6 = graph6_encode(g)
-            if skip and g6 in skip:
-                continue
-            if theorem == "t1":
-                bound = bound_t1(q)
-            elif theorem == "t2":
-                bound = bound_t2(p, q)
-            elif theorem == "t3":
-                bound = bound_t3(k, q)
-            else:
-                bound = bound_l32(k, q)
-            t0 = time.perf_counter()
-            try:
-                exact = ramsey_number(F, g, n_max=max(bound + 2, g.n, F.n),
-                                      budget=budget, jobs=jobs)
-            except BudgetExceededError:
-                result.incomplete.append((g6, "budget exceeded"))
-                continue
-            report = BoundReport(
-                theorem=theorem, g6=g6, name=describe(g), p=p, q=q, k=k, exact=exact,
-                bound=bound, slack=bound - exact, equality=bound == exact,
-                runtime=time.perf_counter() - t0)
-            result.reports.append(report)
-            if on_report:
-                on_report(report)
-            if report.slack < 0:
-                raise SweepViolationError(
-                    f"{theorem} fails on {report.name} ({g6}): "
-                    f"exact {exact} > bound {bound}")
+    with _pool(jobs) as pool:
+        for q in range(q_min, q_max + 1):
+            for g in isolate_free_graphs(q):
+                p = g.n
+                if theorem == "t2" and p < 3:
+                    continue
+                if theorem == "l31" and not _is_path_star_or_triangle(g):
+                    continue
+                g6 = graph6_encode(g)
+                if skip and g6 in skip:
+                    continue
+                if theorem == "t1":
+                    bound = bound_t1(q)
+                elif theorem == "t2":
+                    bound = bound_t2(p, q)
+                elif theorem == "t3":
+                    bound = bound_t3(k, q)
+                else:
+                    bound = bound_l32(k, q)
+                t0 = time.perf_counter()
+                try:
+                    exact = ramsey_number(F, g, n_max=max(bound + 2, g.n, F.n),
+                                          budget=budget, pool=pool)
+                except BudgetExceededError:
+                    result.incomplete.append((g6, "budget exceeded"))
+                    continue
+                report = BoundReport(
+                    theorem=theorem, g6=g6, name=describe(g), p=p, q=q, k=k, exact=exact,
+                    bound=bound, slack=bound - exact, equality=bound == exact,
+                    runtime=time.perf_counter() - t0)
+                result.reports.append(report)
+                if on_report:
+                    on_report(report)
+                if report.slack < 0:
+                    raise SweepViolationError(
+                        f"{theorem} fails on {report.name} ({g6}): "
+                        f"exact {exact} > bound {bound}")
     return result
 
 
@@ -246,44 +248,46 @@ def check_cited_inequalities(q_max: int = 4, budget: Optional[float] = None,
         raise ValueError("cited-inequality checks are desk-scale: q_max <= 5")
     C4 = biclique(2, 2)
     out: list[InequalityCheck] = []
-    # the checks ask for most values several times; key on the class
-    known: dict[str, int] = {}
+    # one process pool for every value the checks ask for
+    with _pool(jobs) as pool:
+        # the checks ask for most values several times; key on the class
+        known: dict[str, int] = {}
 
-    def r_of(g: Graph) -> int:
-        key = graph6_encode(canonical_form(g))
-        if key not in known:
-            known[key] = ramsey_number(C4, g, n_max=2 * max(g.q, 2) + 3,
-                                       budget=budget, jobs=jobs)
-        return known[key]
+        def r_of(g: Graph) -> int:
+            key = graph6_encode(canonical_form(g))
+            if key not in known:
+                known[key] = ramsey_number(C4, g, n_max=2 * max(g.q, 2) + 3,
+                                           budget=budget, pool=pool)
+            return known[key]
 
-    for n in range(4, q_max + 2):
-        rp, rc = r_of(path(n)), r_of(cycle(n))
-        out.append(InequalityCheck(f"r(C4,P{n}) <= r(C4,C{n})", rp, rc, rp <= rc))
-        out.append(InequalityCheck(f"r(C4,C{n}) <= {n + 2}", rc, n + 2, rc <= n + 2))
+        for n in range(4, q_max + 2):
+            rp, rc = r_of(path(n)), r_of(cycle(n))
+            out.append(InequalityCheck(f"r(C4,P{n}) <= r(C4,C{n})", rp, rc, rp <= rc))
+            out.append(InequalityCheck(f"r(C4,C{n}) <= {n + 2}", rc, n + 2, rc <= n + 2))
 
-    singles: list[tuple[Graph, int]] = []
-    for q in range(1, q_max):
-        for g in isolate_free_graphs(q):
-            singles.append((g, q))
-    for i, (g1, q1) in enumerate(singles):
-        for g2, q2 in singles[i:]:
-            if q1 + q2 > q_max:
-                continue
-            union = canonical_form(disjoint_union(g1, g2))
-            lhs = r_of(union)
-            rhs = r_of(g1) + r_of(g2) - 1
-            out.append(InequalityCheck(
-                f"r(C4,{describe(union)}) <= r(C4,{describe(g1)}) + r(C4,{describe(g2)}) - 1",
-                lhs, rhs, lhs <= rhs))
+        singles: list[tuple[Graph, int]] = []
+        for q in range(1, q_max):
+            for g in isolate_free_graphs(q):
+                singles.append((g, q))
+        for i, (g1, q1) in enumerate(singles):
+            for g2, q2 in singles[i:]:
+                if q1 + q2 > q_max:
+                    continue
+                union = canonical_form(disjoint_union(g1, g2))
+                lhs = r_of(union)
+                rhs = r_of(g1) + r_of(g2) - 1
+                out.append(InequalityCheck(
+                    f"r(C4,{describe(union)}) <= r(C4,{describe(g1)}) + r(C4,{describe(g2)}) - 1",
+                    lhs, rhs, lhs <= rhs))
 
-    for q in range(1, q_max + 1):
-        r_star = r_of(biclique(1, q))
-        for tree in enumerate_graphs(EnumFilter(q=q, require_connected=True)):
-            if tree.n != q + 1:
-                continue
-            bound = max(4, q + 2, r_star)
-            lhs = r_of(tree)
-            out.append(InequalityCheck(
-                f"r(C4,{describe(tree)}) <= max(4, {q + 2}, r(C4,K1,{q}))",
-                lhs, bound, lhs <= bound))
+        for q in range(1, q_max + 1):
+            r_star = r_of(biclique(1, q))
+            for tree in enumerate_graphs(EnumFilter(q=q, require_connected=True)):
+                if tree.n != q + 1:
+                    continue
+                bound = max(4, q + 2, r_star)
+                lhs = r_of(tree)
+                out.append(InequalityCheck(
+                    f"r(C4,{describe(tree)}) <= max(4, {q + 2}, r(C4,K1,{q}))",
+                    lhs, bound, lhs <= bound))
     return out

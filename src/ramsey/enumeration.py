@@ -48,6 +48,7 @@ from typing import Optional
 from ramsey.graphs import (
     Graph,
     MAX_VERTICES,
+    _bits,
     _find,
     _unchecked_graph,
     canonical_form,
@@ -99,7 +100,9 @@ def _children(h: Graph, h_autos: list[list[int]], cap: int):
     h."""
     n = h.n
     m = n + 1
-    edges = h.edges()
+    # a new edge (i, j) raises the invariants of the edges at i or j and
+    # leaves the rest as they are in h, so none of them exceeds h's greatest
+    h_top = max([_edge_invariant(h.adj, a, b) for a, b in h.edges()])
     # candidate edges (i, j), i < j <= n, where j = n hangs the edge on a
     # new vertex; an automorphism of h (fixing n) maps a candidate onto one
     # that grows the same class, so only one per orbit is kept: the root of
@@ -123,7 +126,8 @@ def _children(h: Graph, h_autos: list[list[int]], cap: int):
         adj[j] |= 1 << i
         # some child of each class has a new edge of greatest invariant
         top = _edge_invariant(adj, i, j)
-        if any(_edge_invariant(adj, a, b) > top for a, b in edges):
+        if h_top > top or any(_edge_invariant(adj, a, b) > top
+                              for a, c in ((i, j), (j, i)) for b in _bits(adj[a] ^ (1 << c))):
             continue
         yield _unchecked_graph(len(adj), adj)
 

@@ -357,7 +357,8 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]], set[tuple[i
 # embeds(h, g) is the one containment test in the package.  After its size
 # guards it dispatches on h's shape:
 # - mK2 (_as_matching): g has m disjoint edges, decided by the matching
-#   kernel _has_matching, which the search's check_matching shares;
+#   kernel _has_matching, which the search's check_matching and the leaves
+#   of its generic check share;
 # - K_{2,k}, k >= 2 (as_biclique): some pair of g's vertices has k common
 #   neighbours, one AND per pair;
 # - anything else: degree sequences first (pigeonhole: h's i-th largest
@@ -369,22 +370,26 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]], set[tuple[i
 # are placed, and extend_embedding backtracks over host bitmask rows along
 # it.  Each plan step lists the positions of the vertex's neighbours placed
 # before it, so a candidate image is one AND of their images' rows, and the
-# vertex's degree, which a candidate must reach.  embed_plan(h) walks
-# components largest first, each breadth-first from its highest-degree
-# vertex, so every later vertex of a component has a placed neighbour.
+# vertex's degree, which a candidate must reach.  The last step, the leaf
+# (None, pairs), asks the matching kernel for pairs disjoint edges among
+# the vertices left free, and passes at once when pairs is 0.
+# embed_plan(h) walks components largest first, each breadth-first from
+# its highest-degree vertex, so every later vertex of a component has a
+# placed neighbour.
 # embed_plan(h, (a, b)) puts a and b first and their component before the
 # rest; a caller that maps a and b onto a host edge (u, v) asks whether h
 # occurs through that edge, which is what the search's generic anchored
-# check needs.
+# check needs.  That check places a pattern less its K_2 components and
+# leaves those to the leaf.
 # ---------------------------------------------------------------------------
 
-Plan = list[tuple[list[int], int]]
+Plan = list[tuple[list[int] | None, int]]
 
 
-def embed_plan(h: Graph, anchor: tuple[int, int] | None = None) -> Plan:
+def embed_plan(h: Graph, anchor: tuple[int, int] | None = None, pairs: int = 0) -> Plan:
     """Placement plan for h: per placed vertex, in order, the positions of
-    its earlier-placed neighbours and its degree.  With an anchor edge
-    (a, b), steps 0 and 1 are a and b."""
+    its earlier-placed neighbours and its degree, then the leaf (None,
+    pairs).  With an anchor edge (a, b), steps 0 and 1 are a and b."""
     # lists, not tuples: CPython parks each resized tuple(generator) result
     # on a per-size free list when it dies, which raised peak memory
     deg = [row.bit_count() for row in h.adj]
@@ -405,17 +410,19 @@ def embed_plan(h: Graph, anchor: tuple[int, int] | None = None) -> Plan:
             head += 1
     pos = {v: i for i, v in enumerate(order)}
     return [([pos[w] for w in _bits(h.adj[v]) if pos[w] < i], deg[v])
-            for i, v in enumerate(order)]
+            for i, v in enumerate(order)] + [(None, pairs)]
 
 
 def extend_embedding(adj: Sequence[int], free: int, plan: Plan, img: list[int], t: int) -> bool:
     """True iff plan's steps t, t+1, ... can be mapped onto distinct
     vertices of the free mask, given the images img[:t] of the earlier
     steps: each image adjacent to the images of the step's placed
-    neighbours and of at least the step's degree.  Writes img[t:]."""
-    if t == len(plan):
-        return True
+    neighbours and of at least the step's degree, and the vertices still
+    free at the leaf (None, pairs) hold pairs disjoint edges.  Writes
+    img[t:]."""
     nbrs, need = plan[t]
+    if nbrs is None:  # the leaf, and need is its number of pairs
+        return not need or _has_matching(adj, free, need)
     cand = free
     for p in nbrs:
         cand &= adj[img[p]]

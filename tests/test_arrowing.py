@@ -288,13 +288,12 @@ class TestArrows:
                     assert [d for _, d in survivors] == want, (n, F.adj, G.adj)
         assert triples == 2527
 
-    def test_split_replays_the_sequential_search(self, monkeypatch):
+    def test_split_replays_the_sequential_search(self):
         # the split and its subtrees, searched in falling d in this
         # process, give the whole-tree DFS's witness, node total and
         # anchored checks, no more, over every pair of the 19 isolate-free
         # patterns with q <= 4
         calls = [0]
-        monkeypatch.setattr(arrowing, "_make_check", lambda pat: counting_check(pat, calls))
         pats = [g for q in range(1, 5) for g in isolate_free_graphs(q)]
         pairs = 0
         for n in range(4, 8):
@@ -308,7 +307,8 @@ class TestArrows:
                         n, counting_check(F, calls), counting_check(G, calls))
                     want = (None if red is None else Graph(n, red), nodes, calls[0])
                     calls[0] = 0
-                    got = _run_search(n, F, G, None, None) + (calls[0],)
+                    checks = counting_check(F, calls), counting_check(G, calls)
+                    got = _run_search(n, F, G, checks, None, None) + (calls[0],)
                     assert got == want, (n, F.adj, G.adj)
         assert pairs == 1282
 
@@ -385,29 +385,37 @@ class TestGenericCheck:
     @pytest.mark.parametrize("name,n_max", [
         ("P4", 7), ("paw", 7), ("K3", 7), ("P3 u K2", 7), ("2K3", 6),
         ("K3 u K2", 6), ("bull", 6), ("C5", 6),
+        # near-matching forests: their K2 components go to the matching
+        # kernel, and 2K2 u K1 leaves the plans no edge to place
+        ("2K2 u P3", 8), ("3K2 u P3", 9), ("2K2 u K3", 8), ("K2 u 2P3", 8),
+        ("2K2 u K1,3", 8), ("2K2 u K1", 7),
     ])
     def test_anchored_check_fires_first(self, name, n_max):
-        # one plan per orbit of directed edges: one for K3, 2K3 and C5, two
+        # one plan per orbit of directed edges of the pattern less its K2
+        # components, plus one when it has any: one for K3, 2K3 and C5, two
         # for K3 u K2, three for P4 and P3 u K2, five for paw and the bull
         pat = BULL if name == "bull" else graph_from_name(name)
         check = _make_check(pat)
         assert check.__name__ == "check_generic"
         rng = random.Random(name)
         for _ in range(20):
-            n = rng.randint(2, n_max)
+            # from one order below where the pattern fits
+            n = rng.randint(max(2, pat.n - 1), n_max)
             order = lex_edges(n)
             rng.shuffle(order)
-            first = next((t for t in range(len(order))
-                          if brute_embeds(pat, from_edges(n, order[:t + 1]))), None)
             adj = [0] * n
-            fired = None
+            fired = len(order)
             for t, (u, v) in enumerate(order):
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
                 if check(adj, n, u, v):
                     fired = t
                     break
-            assert fired == first, (n, order)
+            # containment only grows with the prefix, so the check fired
+            # first iff the pattern is absent before it and present with it
+            assert not brute_embeds(pat, from_edges(n, order[:fired])), (n, order)
+            if fired < len(order):
+                assert brute_embeds(pat, from_edges(n, order[:fired + 1])), (n, order)
 
 
 class TestOracleEquivalence:
@@ -506,6 +514,20 @@ class TestRamseyNumber:
     def test_cap_error(self):
         with pytest.raises(SearchCapError):
             ramsey_number(C4, K3, n_max=5)
+
+    def test_checks_built_once_per_scan(self, monkeypatch):
+        # the anchored checks do not depend on n, so the scan over n = 6..8
+        # builds one per colour, not one per colour and order
+        built = []
+        make_check = arrowing._make_check
+
+        def recording(pat):
+            built.append(pat)
+            return make_check(pat)
+        monkeypatch.setattr(arrowing, "_make_check", recording)
+        M3 = graph_from_name("2K3")
+        assert ramsey_number_with_witness(C4, M3, jobs=1)[0] == 8
+        assert built == [C4, M3]
 
 
 # the patterns the structural walk is checked on against the search

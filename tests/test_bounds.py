@@ -1,3 +1,8 @@
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
+
+from ramsey import arrowing
 from ramsey.bounds import check_cited_inequalities, sweep
 
 
@@ -26,3 +31,30 @@ def test_cited_inequalities_hold():
         (5, 7), (6, 7), (7, 8), (7, 10), (7, 9), (7, 8), (8, 9), (9, 10),
         (7, 7), (8, 8), (9, 9),
         (4, 4), (4, 4), (6, 6), (5, 6), (7, 7), (6, 7), (6, 7)]
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The keyword arguments of every process pool opened, through the
+    module attribute the benchmark's tracer also replaces."""
+    opened = []
+
+    def counting_pool(*args, **kwargs):
+        opened.append(kwargs)
+        return ProcessPoolExecutor(*args, **kwargs)
+    monkeypatch.setattr(arrowing, "ProcessPoolExecutor", counting_pool)
+    return opened
+
+
+def test_one_pool_per_sweep(opened):
+    # the scans of every searched class share it, with the rows of jobs=1
+    rows = [(r.g6, r.exact) for r in sweep("t1", q_max=3, jobs=2).reports]
+    assert opened == [{"max_workers": 2}]
+    assert rows == [(r.g6, r.exact) for r in sweep("t1", q_max=3).reports]
+    assert len(rows) == 7
+
+
+def test_one_pool_for_the_cited_inequalities(opened):
+    checks = check_cited_inequalities(q_max=3, jobs=2)
+    assert opened == [{"max_workers": 2}]
+    assert checks == check_cited_inequalities(q_max=3)
