@@ -37,8 +37,8 @@ A vertex cap bounds every level, since removing an edge and its exposed
 isolates never adds a vertex; nothing is cached between calls.  q = 8
 (497 classes from 901 canonical forms and as many searches; 3,393 forms
 without the invariant test and 8,252 without the orbits either) takes
-about 0.16 s on a 2-CPU Intel Xeon with Python 3.11, and q = 10 (4,613
-classes from 8,545) about 2.2-2.5 s.
+about 0.15 s on a 2-CPU Intel Xeon with Python 3.11, and q = 10 (4,613
+classes from 8,545) about 1.4-1.9 s.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from ramsey.graphs import (
     Graph,
     MAX_VERTICES,
     _bits,
-    _find,
     _unchecked_graph,
     canonical_form,
     disjoint_union,
@@ -105,19 +104,27 @@ def _children(h: Graph, h_autos: list[list[int]], cap: int):
     h_top = max([_edge_invariant(h.adj, a, b) for a, b in h.edges()])
     # candidate edges (i, j), i < j <= n, where j = n hangs the edge on a
     # new vertex; an automorphism of h (fixing n) maps a candidate onto one
-    # that grows the same class, so only one per orbit is kept: the root of
-    # its union-find tree, keyed i * m + j
+    # that grows the same class, so only one per orbit is kept: the first
+    # in this order, whose orbit is then walked and marked, keyed i * m + j
     cands = [(i, j) for i in range(n) for j in range(i + 1, min(m, cap))
              if not h.adj[i] >> j & 1]
-    orbit = list(range(m * m))
-    for gamma in h_autos:
-        gamma = gamma + [n]
-        for i, j in cands:
-            x, y = gamma[i], gamma[j]
-            a, b = _find(orbit, i * m + j), _find(orbit, x * m + y if x < y else y * m + x)
-            if a != b:
-                orbit[a] = b
-    grown = [(i, j) for i, j in cands if _find(orbit, i * m + j) == i * m + j]
+    gens = [gamma + [n] for gamma in h_autos]
+    seen: set[int] = set()
+    grown = []
+    for i, j in cands:
+        if i * m + j in seen:
+            continue
+        grown.append((i, j))
+        seen.add(i * m + j)
+        walk = [(i, j)]
+        for a, b in walk:
+            for gamma in gens:
+                x, y = gamma[a], gamma[b]
+                if x > y:
+                    x, y = y, x
+                if x * m + y not in seen:
+                    seen.add(x * m + y)
+                    walk.append((x, y))
     if n + 2 <= cap:
         grown.append((n, n + 1))
     for i, j in grown:

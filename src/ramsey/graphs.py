@@ -182,20 +182,22 @@ def complement(g: Graph) -> Graph:
 # canonical labeling
 # ---------------------------------------------------------------------------
 
-def _refine_colors(g: Graph) -> list[int]:
-    """Iterated degree refinement: vertices get dense colours such that any
-    isomorphism preserves colours.  Stops once the partition is stable."""
-    n, adj = g.n, g.adj
-    nbrs = [list(_bits(row)) for row in adj]
+def _refine_colors(nbrs: list[list[int]]) -> list[int]:
+    """Iterated degree refinement of the graph whose vertex v has the
+    neighbour list nbrs[v], the lists the canonical search builds once for
+    itself: vertices get dense colours such that any isomorphism preserves
+    colours.  It returns after the first round that splits no cell, since
+    that round's ranks are the ones the next round would give."""
     colors = [len(nb) for nb in nbrs]
-    for _ in range(n):
-        keys = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
+    cells = len(set(colors))
+    while True:
+        get = colors.__getitem__
+        keys = [(c, tuple(sorted(map(get, nb)))) for c, nb in zip(colors, nbrs)]
         rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-        new = [rank[k] for k in keys]
-        if new == colors:
-            break
-        colors = new
-    return colors
+        colors = [rank[k] for k in keys]
+        if len(rank) == cells:
+            return colors
+        cells = len(rank)
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -224,11 +226,18 @@ def canonical_form(g: Graph, autos: list[list[int]] | None = None) -> Graph:
     n = g.n
     if n <= 1:
         return _unchecked_graph(n, g.adj)
-    best_perm, found, twins = _canonical_search(g)
-    pos = [0] * n
-    for p, v in enumerate(best_perm):
-        pos[v] = p
+    best_perm, best_cols, found, twins = _canonical_search(g)
+    # bit n-1-i of best_cols[p] is the form's edge (i, p), i < p
+    rows = [0] * n
+    for p, col in enumerate(best_cols):
+        for b in _bits(col):
+            i = n - 1 - b
+            rows[i] |= 1 << p
+            rows[p] |= 1 << i
     if autos is not None:
+        pos = [0] * n
+        for p, v in enumerate(best_perm):
+            pos[v] = p
         # g's automorphism v -> gamma[v] is i -> pos[gamma[best_perm[i]]]
         # on the form, whose vertex i is g's best_perm[i]
         for gamma in found:
@@ -237,15 +246,17 @@ def canonical_form(g: Graph, autos: list[list[int]] | None = None) -> Graph:
             swap = list(range(n))
             swap[pos[u]], swap[pos[v]] = pos[v], pos[u]
             autos.append(swap)
-    return _unchecked_graph(n, [sum([1 << pos[w] for w in _bits(g.adj[v])]) for v in best_perm])
+    return _unchecked_graph(n, rows)
 
 
-def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]], set[tuple[int, int]]]:
-    """(best_perm, autos, twins) for g on n >= 2 vertices: best_perm lists
-    the vertices in canonical_form's order, autos holds the leaf
-    automorphisms of g found and twins the pairs (u, v) of g's vertices
-    pruned as twins.  canonical_form carries both onto the form it returns,
-    so one search gives the form and its generators.
+def _canonical_search(g: Graph) -> tuple[list[int], list[int], list[list[int]], set[tuple[int, int]]]:
+    """(best_perm, best_cols, autos, twins) for g on n >= 2 vertices:
+    best_perm lists the vertices in canonical_form's order, best_cols[p]
+    has bit n-1-i set iff best_perm[i] and best_perm[p] are adjacent,
+    i < p, autos holds the leaf automorphisms of g found and twins the
+    pairs (u, v) of g's vertices pruned as twins.  canonical_form carries
+    both onto the form it returns, so one search gives the form and its
+    generators.
 
     A depth-first search places one vertex per position and prunes with the
     partial bit string, in the manner of McKay's "Practical graph
@@ -263,28 +274,38 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]], set[tuple[i
       is a twin (same neighbours apart from each other) of one, since
       swapping the two is an automorphism.
     None of these changes which string is least, only how fast it is found.
+    Fast paths that give the same search:
+    - a position whose refinement cell has one vertex, or whose least column
+      only one vertex has, places it at once, with no tried list, twin scan
+      or orbit work;
+    - one pass over a larger cell finds its least column and candidates;
+    - the twin scan and the orbit union-find run only for the second and
+      later candidates, as the first has nothing to be compared with, and
+      the test that an automorphism fixes the prefix reads placed in place;
+    - the neighbour lists are built once, for the refinement and the search.
     """
     n, adj = g.n, g.adj
-    colors = _refine_colors(g)
+    nbrs = [list(_bits(row)) for row in adj]
+    colors = _refine_colors(nbrs)
     by_color: dict[int, list[int]] = {}
     for v in range(n):
         by_color.setdefault(colors[v], []).append(v)
     cell_at = [by_color[c] for c in sorted(colors)]
-    nbrs = [list(_bits(row)) for row in adj]
 
     placed = [0] * n
     cols = [0] * n
     # key[v] has bit n-1-i set iff v is adjacent to placed[i], so at
     # position p it is v's column shifted left by n-p
     key = [0] * n
-    best_cols: list[int] | None = None
-    best_perm: list[int] | None = None
+    best_cols: list[int] = []
+    best_perm: list[int] = []
     autos: list[list[int]] = []
     twins: set[tuple[int, int]] = set()
 
     def dfs(p: int, eq: bool, used: int) -> int:
         """Search below the prefix placed[:p]; eq says its columns equal the
-        best's.  Returns the depth to resume at, n for no jump."""
+        best's, and used marks the placed vertices.  Returns the depth to
+        resume at, n for no jump."""
         nonlocal best_cols, best_perm
         if p == n:
             if not eq:
@@ -299,8 +320,21 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]], set[tuple[i
             while placed[d] == best_perm[d]:
                 d += 1
             return d
-        cell = [v for v in cell_at[p] if not used >> v & 1]
-        least = min([key[v] for v in cell])
+        cell = cell_at[p]
+        if len(cell) == 1:
+            cands = cell
+            least = key[cell[0]]
+        else:
+            least, cands = -1, []
+            for v in cell:
+                if used >> v & 1:
+                    continue
+                k = key[v]
+                if k == least:
+                    cands.append(v)
+                elif k < least or least < 0:
+                    least = k
+                    cands = [v]
         if eq:
             bc = best_cols[p]
             if least > bc:
@@ -308,37 +342,52 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]], set[tuple[i
             eq = least == bc
         cols[p] = least
         bit = 1 << (n - 1 - p)
+        if len(cands) == 1:
+            v = cands[0]
+            placed[p] = v
+            for w in nbrs[v]:
+                key[w] |= bit
+            back = dfs(p + 1, eq, used | 1 << v)
+            for w in nbrs[v]:
+                key[w] ^= bit
+            return back if back < p else n
         tried: list[int] = []
         orbit: list[int] | None = None  # union-find over the stabiliser's orbits
         seen = 0  # autos already merged into orbit
-        for v in cell:
-            if key[v] != least:
-                continue
-            bv = 1 << v
-            twin = [u for u in tried if (adj[u] & ~bv) == (adj[v] & ~(1 << u))]
-            if twin:
-                twins.add((twin[0], v))
-                continue
-            if tried and seen < len(autos):
-                if orbit is None:
-                    orbit = list(range(n))
-                prefix = placed[:p]
-                for gamma in autos[seen:]:
-                    if all([gamma[x] == x for x in prefix]):
-                        for x in range(n):
-                            a, b = _find(orbit, x), _find(orbit, gamma[x])
-                            if a != b:
-                                orbit[a] = b
-                seen = len(autos)
-            if orbit is not None:
-                r = _find(orbit, v)
-                if any(_find(orbit, u) == r for u in tried):
+        for v in cands:
+            if tried:
+                row, bv = adj[v], 1 << v
+                twin = -1
+                for u in tried:
+                    if adj[u] & ~bv == row & ~(1 << u):
+                        twin = u
+                        break
+                if twin >= 0:
+                    twins.add((twin, v))
                     continue
+                if seen < len(autos):
+                    if orbit is None:
+                        orbit = list(range(n))
+                    for gamma in autos[seen:]:
+                        for i in range(p):
+                            if gamma[placed[i]] != placed[i]:
+                                break
+                        else:
+                            for x in range(n):
+                                if gamma[x] != x:
+                                    a, b = _find(orbit, x), _find(orbit, gamma[x])
+                                    if a != b:
+                                        orbit[a] = b
+                    seen = len(autos)
+                if orbit is not None:
+                    r = _find(orbit, v)
+                    if any(_find(orbit, u) == r for u in tried):
+                        continue
             tried.append(v)
             placed[p] = v
             for w in nbrs[v]:
                 key[w] |= bit
-            back = dfs(p + 1, eq, used | bv)
+            back = dfs(p + 1, eq, used | 1 << v)
             for w in nbrs[v]:
                 key[w] ^= bit
             if back < p:
@@ -347,8 +396,7 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]], set[tuple[i
         return n
 
     dfs(0, False, 0)
-    assert best_perm is not None
-    return best_perm, autos, twins
+    return best_perm, best_cols, autos, twins
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import itertools
 from ramsey.arrowing import _lex_violated
 from ramsey.graphs import (
     Graph,
-    _refine_colors,
+    _bits,
     canonical_form,
     from_edges,
     graph6_decode,
@@ -31,11 +31,27 @@ def brute_embeds(h: Graph, g: Graph) -> bool:
     return False
 
 
+def brute_refine_colors(g: Graph) -> list[int]:
+    """Iterated degree refinement, round after round until a round changes
+    no colour: the plain loop graphs._refine_colors is checked against."""
+    n, adj = g.n, g.adj
+    nbrs = [list(_bits(row)) for row in adj]
+    colors = [len(nb) for nb in nbrs]
+    for _ in range(n):
+        keys = [(colors[v], tuple(sorted([colors[u] for u in nbrs[v]]))) for v in range(n)]
+        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+        new = [rank[k] for k in keys]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
 def brute_canonical_form(g: Graph) -> Graph:
-    """Try every relabeling that lists the _refine_colors cells in colour
-    order; keep the one whose upper triangle, read column by column, is
-    least."""
-    colors = _refine_colors(g)
+    """Try every relabeling that lists the brute_refine_colors cells in
+    colour order; keep the one whose upper triangle, read column by column,
+    is least."""
+    colors = brute_refine_colors(g)
     cells = [[v for v in range(g.n) if colors[v] == c] for c in sorted(set(colors))]
     best = None
     for parts in itertools.product(*(itertools.permutations(cell) for cell in cells)):

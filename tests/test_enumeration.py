@@ -54,6 +54,21 @@ def test_one_search_per_labelling(monkeypatch):
     assert counts["_canonical_search"] == counts["canonical_form"] > 0
 
 
+def test_q8_labellings_capped(monkeypatch):
+    # 901 canonical_form calls at q=8, the count the orbit and edge-invariant
+    # tests reached; a faster search must not label more children
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return canonical_form(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "canonical_form", counted)
+    assert len(isolate_free_graphs(8)) == 497
+    assert calls <= 901
+
+
 def test_q2_classes():
     names = {describe(g) for g in isolate_free_graphs(2)}
     assert names == {"2K2", "P3"}

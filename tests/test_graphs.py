@@ -6,7 +6,9 @@ import pytest
 from ramsey import graphs
 from ramsey.graphs import (
     Graph,
+    _bits,
     _find,
+    _refine_colors,
     as_biclique,
     GraphError,
     canonical_form,
@@ -22,7 +24,13 @@ from ramsey.graphs import (
 
 from ramsey.families import graph_from_name
 
-from brute import brute_canonical_form, brute_embeds, brute_graphs, brute_orbit_labels
+from brute import (
+    brute_canonical_form,
+    brute_embeds,
+    brute_graphs,
+    brute_orbit_labels,
+    brute_refine_colors,
+)
 
 K3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
 K4 = from_edges(4, list(itertools.combinations(range(4), 2)))
@@ -100,6 +108,19 @@ class TestDisjointUnion:
             disjoint_union(big, from_edges(13, []))
 
 
+# highly symmetric graphs, where the canonical search lives on its
+# automorphism pruning; the strings are the ones the unpruned search chose
+SYMMETRIC_FORMS = [
+    ("8K2", "O?????@?_G@?C?G?G?C??"),
+    ("7K2", "M????CCA?_C?O?_??"),
+    ("4K3", "K?CX@D?OK?O@"),
+    ("3K4", "K@KyADB_C?oB"),
+    ("2K4 + 4K2", "O?CaC?????_B?F?G?CG@B"),
+    ("4C4", "O?????B?oW@_K?K?W?E??"),
+    ("5P3", "N????????@_WB?K?W??"),
+]
+
+
 class TestCanonicalForm:
     def test_all_relabelings_of_paw_agree(self):
         forms = {canonical_form(relabeled(PAW, perm))
@@ -134,17 +155,7 @@ class TestCanonicalForm:
             g = random_graph(rng, rng.randint(0, 6), rng.choice([0.2, 0.4, 0.6, 0.8]))
             assert canonical_form(g) == brute_canonical_form(g), g
 
-    # highly symmetric graphs, where the search lives on its automorphism
-    # pruning; the strings are the ones the unpruned search chose
-    @pytest.mark.parametrize("name,g6", [
-        ("8K2", "O?????@?_G@?C?G?G?C??"),
-        ("7K2", "M????CCA?_C?O?_??"),
-        ("4K3", "K?CX@D?OK?O@"),
-        ("3K4", "K@KyADB_C?oB"),
-        ("2K4 + 4K2", "O?CaC?????_B?F?G?CG@B"),
-        ("4C4", "O?????B?oW@_K?K?W?E??"),
-        ("5P3", "N????????@_WB?K?W??"),
-    ])
+    @pytest.mark.parametrize("name,g6", SYMMETRIC_FORMS)
     def test_symmetric_forms_pinned(self, name, g6):
         g = graph_from_name(name)
         assert graph6_encode(canonical_form(g)) == g6
@@ -173,6 +184,15 @@ def _automorphism_cases():
         rng.shuffle(perm)
         cases.append(relabeled(g, perm))
     return cases
+
+
+def test_refine_colors_matches_plain_loop():
+    # the early return and the shared neighbour lists must give the colours
+    # of the loop that refines until a round changes nothing
+    cases = [g for n in range(8) for g in brute_graphs(n)] + _automorphism_cases()
+    cases += [graph_from_name(name) for name, _ in SYMMETRIC_FORMS]
+    for g in cases:
+        assert _refine_colors([list(_bits(row)) for row in g.adj]) == brute_refine_colors(g), g
 
 
 def _generators(g):
