@@ -30,7 +30,6 @@ from ramsey.graphs import Graph, complement, embeds, from_edges, lex_edges
 from brute import (
     brute_embeds,
     brute_good_coloring_exists,
-    brute_graphs,
     brute_has_matching,
     brute_lex_leader_search,
 )
@@ -434,11 +433,6 @@ class TestOracleEquivalence:
         for F, G in [(C4, M2), (K3, P3), (C4, K3)]:
             got = arrows(5, F, G).witness is not None
             assert got == brute_good_coloring_exists(5, F, G), (F, G)
-
-
-@pytest.fixture(scope="module")
-def graphs_by_order():
-    return {n: brute_graphs(n) for n in range(1, 8)}
 
 
 class TestEveryGraphOracle:

@@ -186,10 +186,10 @@ def _automorphism_cases():
     return cases
 
 
-def test_refine_colors_matches_plain_loop():
+def test_refine_colors_matches_plain_loop(graphs_by_order):
     # the early return and the shared neighbour lists must give the colours
     # of the loop that refines until a round changes nothing
-    cases = [g for n in range(8) for g in brute_graphs(n)] + _automorphism_cases()
+    cases = [g for gs in graphs_by_order.values() for g in gs] + _automorphism_cases()
     cases += [graph_from_name(name) for name, _ in SYMMETRIC_FORMS]
     for g in cases:
         assert _refine_colors([list(_bits(row)) for row in g.adj]) == brute_refine_colors(g), g
