@@ -14,41 +14,8 @@ from typing import Callable, NamedTuple, Optional
 from ramsey.arrowing import BudgetExceededError, _pool, ramsey_number
 from ramsey.enumeration import EnumFilter, enumerate_graphs, isolate_free_graphs
 from ramsey.families import biclique, cycle, describe, path
-from ramsey.graphs import Graph, canonical_form, disjoint_union, graph6_encode, is_connected
-
-THEOREMS = ("t1", "t2", "l31", "l32", "t3")
-
-# desk-scale sweep envelopes; larger ranges need explicit q_max/k
-DEFAULT_Q_MAX = {"t1": 4, "t2": 4, "l31": 4, "l32": 2, "t3": 2}
-DEFAULT_K = {"t1": 2, "t2": 2, "l31": 2, "l32": 3, "t3": 3}
-
-
-def bound_t1(q: int) -> int:
-    """2q + 1, valid for isolate-free G with q >= 2 edges (F = C_4)."""
-    if q < 2:
-        raise ValueError(f"bound needs q >= 2, got {q}")
-    return 2 * q + 1
-
-
-def bound_t2(p: int, q: int) -> int:
-    """2p + q - 2, valid for isolate-free G with q >= 2, p >= 3 (F = C_4)."""
-    if p < 3 or q < 2:
-        raise ValueError(f"bound needs p >= 3 and q >= 2, got p={p}, q={q}")
-    return 2 * p + q - 2
-
-
-def bound_l32(k: int, q: int) -> int:
-    """kq + 1, valid for isolate-free G with q >= 2 edges (F = K_{2,k}, k >= 2)."""
-    if k < 2 or q < 2:
-        raise ValueError(f"bound needs k >= 2 and q >= 2, got k={k}, q={q}")
-    return k * q + 1
-
-
-def bound_t3(k: int, q: int) -> int:
-    """kq + 2, valid for every isolate-free G (F = K_{2,k}, k >= 3)."""
-    if k < 3 or q < 1:
-        raise ValueError(f"bound needs k >= 3 and q >= 1, got k={k}, q={q}")
-    return k * q + 2
+from ramsey.graphs import (MAX_VERTICES, Graph, canonical_form, disjoint_union, graph6_encode,
+                           is_connected)
 
 
 class BoundReport(NamedTuple):
@@ -142,29 +109,54 @@ def _is_path_star_or_triangle(g: Graph) -> bool:
     return False
 
 
+class Theorem(NamedTuple):
+    """A bound r(K_{2,k}, G) <= bound(p, q, k) for isolate-free G with p
+    vertices and q >= q_min edges in the domain (C_4 = K_{2,2}), and the
+    desk-scale sweep that checks it by default."""
+
+    q_min: int
+    q_max: int
+    k: int
+    k_range: tuple[int, int]  # inclusive
+    bound: Callable[[int, int, int], int]
+    domain: Callable[[Graph], bool]
+
+
+def _every_graph(g: Graph) -> bool:
+    return True
+
+
+# K_{2,k} has k + 2 <= MAX_VERTICES vertices
+_K_MAX = MAX_VERTICES - 2
+
+THEOREMS = {
+    # q_min, default q_max, default k, k range, bound(p, q, k), domain
+    "t1": Theorem(2, 4, 2, (2, 2), lambda p, q, k: 2 * q + 1, _every_graph),
+    "t2": Theorem(2, 4, 2, (2, 2), lambda p, q, k: 2 * p + q - 2, lambda g: g.n >= 3),
+    "l31": Theorem(2, 4, 2, (2, _K_MAX), lambda p, q, k: k * q + 1, _is_path_star_or_triangle),
+    "l32": Theorem(2, 2, 3, (2, _K_MAX), lambda p, q, k: k * q + 1, _every_graph),
+    "t3": Theorem(1, 2, 3, (3, _K_MAX), lambda p, q, k: k * q + 2, _every_graph),
+}
+
+
 def sweep_params(theorem: str, q_max: Optional[int] = None,
-                 k: Optional[int] = None) -> tuple[str, int, int, int, Graph]:
-    """(theorem, q_min, q_max, k, K_{2,k}) of a sweep, defaults filled in.
+                 k: Optional[int] = None) -> tuple[str, Theorem, int, int, Graph]:
+    """(theorem, its row, q_max, k, K_{2,k}) of a sweep, defaults filled in.
 
     Raises ValueError when the arguments leave no sweep to run.
     """
     theorem = theorem.lower()
     if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}, pick one of {THEOREMS}")
-    if q_max is None:
-        q_max = DEFAULT_Q_MAX[theorem]
-    if k is None:
-        k = DEFAULT_K[theorem]
-    if theorem in ("t1", "t2") and k != 2:
-        raise ValueError(f"{theorem} is the k=2 case; pass k=2 or omit it")
-    if theorem == "t3" and k < 3:
-        raise ValueError("t3 needs k >= 3")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    q_min = 1 if theorem == "t3" else 2
-    if q_max < q_min:
-        raise ValueError(f"{theorem} sweeps q from {q_min}, so q_max={q_max} leaves no graph")
-    return theorem, q_min, q_max, k, biclique(2, k)
+        raise ValueError(f"unknown theorem {theorem!r}, pick one of {tuple(THEOREMS)}")
+    row = THEOREMS[theorem]
+    q_max = row.q_max if q_max is None else q_max
+    k = row.k if k is None else k
+    lo, hi = row.k_range
+    if not lo <= k <= hi:
+        raise ValueError(f"{theorem} needs k in {lo}..{hi}, got {k}")
+    if q_max < row.q_min:
+        raise ValueError(f"{theorem} sweeps q from {row.q_min}, so q_max={q_max} leaves no graph")
+    return theorem, row, q_max, k, biclique(2, k)
 
 
 def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
@@ -178,36 +170,27 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
     naming the counterexample; per-graph budget exhaustion is recorded in
     .incomplete instead of aborting the sweep.
 
-    Each graph's Ramsey number is one scan over n, and the budget, in
-    seconds, is one deadline for each order n of it.  With jobs > 1 one
-    process pool serves every scan of the sweep.  A matching G is decided
-    by structure, with no search, pool or budget
-    (arrowing.matching_arrows).
+    Each graph's Ramsey number is one scan over n, up to bound + 2 or
+    MAX_VERTICES, whichever is less, and the budget, in seconds, is one
+    deadline for each order n of it.  With jobs > 1 one process pool
+    serves every scan of the sweep.  A matching G is decided by
+    structure, with no search, pool or budget (arrowing.matching_arrows).
     """
-    theorem, q_min, q_max, k, F = sweep_params(theorem, q_max, k)
+    theorem, row, q_max, k, F = sweep_params(theorem, q_max, k)
     result = SweepResult(theorem)
     with _pool(jobs) as pool:
-        for q in range(q_min, q_max + 1):
+        for q in range(row.q_min, q_max + 1):
             for g in isolate_free_graphs(q):
-                p = g.n
-                if theorem == "t2" and p < 3:
-                    continue
-                if theorem == "l31" and not _is_path_star_or_triangle(g):
+                if not row.domain(g):
                     continue
                 g6 = graph6_encode(g)
                 if skip and g6 in skip:
                     continue
-                if theorem == "t1":
-                    bound = bound_t1(q)
-                elif theorem == "t2":
-                    bound = bound_t2(p, q)
-                elif theorem == "t3":
-                    bound = bound_t3(k, q)
-                else:
-                    bound = bound_l32(k, q)
+                p = g.n
+                bound = row.bound(p, q, k)
                 t0 = time.perf_counter()
                 try:
-                    exact = ramsey_number(F, g, n_max=max(bound + 2, g.n, F.n),
+                    exact = ramsey_number(F, g, n_max=min(bound + 2, MAX_VERTICES),
                                           budget=budget, pool=pool)
                 except BudgetExceededError:
                     result.incomplete.append((g6, "budget exceeded"))

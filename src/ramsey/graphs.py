@@ -58,9 +58,6 @@ class Graph:
         """Number of edges."""
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adj)
 
@@ -630,28 +627,15 @@ def graph6_decode(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(s) != 1 + need:
         raise GraphError(f"graph6 string has {len(s)} bytes, expected {1 + need} for n={n}")
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in s[1:])
+    if "1" in bits[nbits:]:
+        raise GraphError("nonzero padding bits in graph6 string")
+    # column j is the bits of (0, j), (1, j), ..., (j - 1, j); reversed, it
+    # is row j's mask of neighbours below j
     adj = [0] * n
-    k = 0
-    for idx in range(need):
-        group = ord(s[1 + idx]) - 63
-        for b in range(5, -1, -1):
-            bit = (group >> b) & 1
-            if k >= nbits:
-                if bit:
-                    raise GraphError("nonzero padding bits in graph6 string")
-                continue
-            if bit:
-                i, j = _edge_of_column_index(k)
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+    for j in range(1, n):
+        start = j * (j - 1) // 2
+        adj[j] = below = int(bits[start:start + j][::-1], 2)
+        for i in _bits(below):
+            adj[i] |= 1 << j
     return Graph(n, adj)
-
-
-def _edge_of_column_index(k: int) -> tuple[int, int]:
-    # column-major upper triangle: bits (0,1), (0,2), (1,2), (0,3), ...
-    j = 1
-    while j * (j - 1) // 2 + j <= k:
-        j += 1
-    i = k - j * (j - 1) // 2
-    return i, j

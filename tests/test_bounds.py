@@ -3,7 +3,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from ramsey import arrowing
-from ramsey.bounds import check_cited_inequalities, sweep
+from ramsey.bounds import check_cited_inequalities, sweep, sweep_params
 
 
 def test_t1_holds_with_the_papers_equality_cases():
@@ -19,6 +19,57 @@ def test_t2_equality_at_triangle():
     result = sweep("t2", q_max=4)
     assert result.ok
     assert set(result.equality_set) == {"K3"}
+
+
+def rows(result):
+    return [(r.name, r.exact, r.bound) for r in result.reports]
+
+
+def test_l31_on_paths_stars_and_the_triangle():
+    # r(C4, G) <= 2q + 1 on P_n, K_{1,n} and K3, with equality at K3 (q <= 4)
+    result = sweep("l31")
+    assert result.ok
+    assert rows(result) == [("P3", 4, 5), ("K3", 7, 7), ("K1,3", 6, 7), ("P4", 5, 7),
+                            ("K1,4", 7, 9), ("P5", 6, 9)]
+    assert result.equality_set == ["K3"]
+
+
+def test_l31_at_k3():
+    # r(K2,3, G) <= 3q + 1 on the same domain, never with equality (q <= 3)
+    result = sweep("l31", k=3, q_max=3)
+    assert result.ok
+    assert rows(result) == [("P3", 5, 7), ("K3", 9, 10), ("K1,3", 7, 10), ("P4", 6, 10)]
+    assert result.equality_set == []
+
+
+def test_l32_default_sweep():
+    # r(K2,3, G) <= 3q + 1 over every isolate-free G with q = 2
+    result = sweep("l32")
+    assert result.ok
+    assert rows(result) == [("P3", 5, 7), ("2K2", 6, 7)]
+    assert result.equality_set == []
+
+
+def test_t3_default_sweep():
+    # r(K2,3, G) <= 3q + 2, with equality at K2 (q <= 2)
+    result = sweep("t3")
+    assert result.ok
+    assert rows(result) == [("K2", 5, 5), ("P3", 5, 8), ("2K2", 6, 8)]
+    assert result.equality_set == ["K2"]
+
+
+def test_sweep_whose_bound_passes_the_vertex_cap():
+    # kq + 1 + 2 = 33 is past MAX_VERTICES = 32, but r(K2,15, G) is far below it
+    result = sweep("l32", k=15, q_max=2)
+    assert result.ok
+    assert rows(result) == [("P3", 17, 31), ("2K2", 18, 31)]
+
+
+@pytest.mark.parametrize("theorem,k", [("t1", 3), ("t2", 1), ("l31", 1), ("l32", 31),
+                                       ("t3", 2), ("t3", 31)])
+def test_sweep_rejects_k_outside_the_theorems_range(theorem, k):
+    with pytest.raises(ValueError, match=f"{theorem} needs k in"):
+        sweep_params(theorem, k=k)
 
 
 def test_cited_inequalities_hold():

@@ -193,6 +193,15 @@ def test_rejected_verify_leaves_the_json_file(tmp_path, capsys, flags):
     assert path.read_bytes() == b'{"kept": true}\n'
 
 
+def test_verify_rejects_k_past_the_vertex_cap(tmp_path, capsys):
+    # K2,31 has 33 vertices; the error names t3's k range, and the file is kept
+    path = tmp_path / "keep.jsonl"
+    path.write_bytes(b'{"kept": true}\n')
+    assert main(["verify", "--theorem", "t3", "--k", "31", "--json", str(path)]) == EXIT_USAGE
+    assert "t3 needs k in 3..30" in capsys.readouterr().err
+    assert path.read_bytes() == b'{"kept": true}\n'
+
+
 @pytest.mark.parametrize("budget", ["abc", "-1", "0", "nan", "inf"])
 def test_rejects_a_budget_that_is_not_a_positive_number(capsys, budget):
     with pytest.raises(SystemExit) as exc:

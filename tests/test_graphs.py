@@ -349,7 +349,7 @@ class TestGraph6:
     def test_round_trip_small(self):
         rng = random.Random(3)
         for _ in range(200):
-            g = random_graph(rng, rng.randint(0, 10))
+            g = random_graph(rng, rng.randint(0, 32))
             assert graph6_decode(graph6_encode(g)) == g
 
     def test_matches_networkx(self):
