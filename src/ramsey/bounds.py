@@ -110,9 +110,9 @@ def _is_path_star_or_triangle(g: Graph) -> bool:
 
 
 class Theorem(NamedTuple):
-    """A bound r(K_{2,k}, G) <= bound(p, q, k) for isolate-free G with p
-    vertices and q >= q_min edges in the domain (C_4 = K_{2,2}), and the
-    desk-scale sweep that checks it by default."""
+    """The bound r(K_{2,k}, G) <= bound(p, q, k) for every isolate-free G
+    in the domain with p vertices and q >= q_min edges, and k in k_range
+    (C_4 = K_{2,2}).  q_max and k are the defaults of a desk-scale sweep."""
 
     q_min: int
     q_max: int
