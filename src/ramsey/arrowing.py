@@ -7,9 +7,10 @@ pattern that use the newest edge can have appeared, so an anchored
 containment check at that edge keeps the search tree sound and complete.
 The two checks do not depend on n, so each scan builds them once (one
 arrows call, or one ramsey_number scan over every order n); the generic
-one places the pattern less its K_2 components and hands those to the
-matching kernel (_make_check).  A coloring that survives all assignments
-("good coloring") witnesses n < r(F, G); if the symmetry-reduced tree is
+one runs graphs.embed_plan's plans, which leave the pattern's K_2
+components, bar one holding the anchor, to the matching kernel
+(_make_check).  A coloring that survives all assignments ("good
+coloring") witnesses n < r(F, G); if the symmetry-reduced tree is
 exhausted, K_n arrows (F, G).
 A witness is the red graph of a good coloring; blue is its complement.
 
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-from functools import reduce
 from typing import NamedTuple, Optional
 
 from ramsey.graphs import (
@@ -76,8 +76,6 @@ from ramsey.graphs import (
     _unchecked_graph,
     as_biclique,
     complement,
-    components,
-    disjoint_union,
     embed_plan,
     embeds,
     extend_embedding,
@@ -186,23 +184,22 @@ def _make_check(pat: Graph):
     checks only look for copies that use (u, v), so on a class that
     already held pat they may answer False.
 
-    The generic check splits pat into its m K_2 components and the rest, R.
-    Its plans place R only, and each plan's leaf asks the matching kernel
-    for the K_2s among the vertices the plan left free, so a failing check
-    never tries the orders and orientations of the K_2s one by one.  It
-    keeps one anchored plan per orbit of R's directed edges under R's
-    automorphisms, each asking for m K_2s, and when m > 0 one more for an
-    anchor on a K_2, which places R anywhere else and asks for m - 1.
-    Either way a copy leaves m disjoint edges beside u and v (m - 1 if R
-    has no edge), so a class with fewer fails before any plan runs.
+    The generic check keeps one anchored plan (graphs.embed_plan) per
+    orbit of pat's directed edges under pat's automorphisms.  A plan's
+    leaf asks the matching kernel for the m K_2 components that do not
+    hold its anchor, so a failing check never tries their orders and
+    orientations one by one.  The K_2s' edges are one orbit, whose plan
+    asks for m - 1 and runs last.  Either way a copy leaves m disjoint
+    edges beside u and v (m - 1 if the K_2s are pat's only edges), the
+    most any leaf asks for, so a class with fewer fails before any plan
+    runs.
 
-    If sigma is an automorphism of R, a copy that maps sigma(e) onto (u, v)
-    is sigma followed by a copy that maps e onto (u, v), with the same
-    image, so the plan for e finds every copy the plan for sigma(e) would.
-    A kept plan for e finds such a sigma when it embeds R into itself with
-    e's ends on sigma(e)'s: an injective self-map that carries edges to
-    edges is an automorphism.  With no K_2 component R is pat, and the
-    plans and the kernel's path are those of a check with no split.
+    If sigma is an automorphism of pat, a copy that maps sigma(e) onto
+    (u, v) is sigma followed by a copy that maps e onto (u, v), with the
+    same image, so the plan for e finds every copy the plan for sigma(e)
+    would.  A kept plan for e finds such a sigma when it embeds pat into
+    itself with e's ends on sigma(e)'s, its leaf's K_2s included: an
+    injective self-map that carries edges to edges is an automorphism.
     """
     m = _as_matching(pat)
     if m is not None:
@@ -237,30 +234,19 @@ def _make_check(pat: Graph):
                     return True
             return False
         return check_biclique
-    # the m K_2 components go to the matching kernel at each plan's leaf,
-    # and the plans place the rest, R
-    parts = components(pat)
-    m = sum(c.n == 2 for c in parts)
-    rest = reduce(disjoint_union, [c for c in parts if c.n != 2]) if m else pat
-    # a new copy maps some edge (a, b) of R onto (u, v), one way round or
-    # the other: one anchored plan per directed edge orbit of R, run by the
-    # kernel the containment section of graphs.py describes
+    # a new copy maps some edge (a, b) of pat onto (u, v), one way round or
+    # the other: one anchored plan per directed edge orbit of pat, run by
+    # the kernel the containment section of graphs.py describes
     plans = []
-    pad = [0] * (rest.n - 2)
-    for a in range(rest.n):
-        for b in _bits(rest.adj[a]):
-            free = ((1 << rest.n) - 1) & ~((1 << a) | (1 << b))
-            if not any(extend_embedding(rest.adj, free, plan, [a, b] + pad, 2) for plan in plans):
-                plans.append(embed_plan(rest, (a, b)))
-    if m:
-        # each leaf asks for the K_2s; or (u, v) is one of them, R lies
-        # anywhere else, and m - 1 K_2s beside it
-        for plan in plans:
-            plan[-1] = (None, m)
-        plans.append(embed_plan(disjoint_union(Graph(2, (2, 1)), rest), (0, 1), m - 1))
-
-    # the K_2s beside (u, v) and, if it is one of them, an edge of R
-    least = m - (rest.q == 0) if m else 0
+    pad = [0] * (pat.n - 2)
+    for a in range(pat.n):
+        for b in _bits(pat.adj[a]):
+            free = ((1 << pat.n) - 1) & ~((1 << a) | (1 << b))
+            if not any(extend_embedding(pat.adj, free, plan, [a, b] + pad, 2) for plan in plans):
+                plans.append(embed_plan(pat, (a, b)))
+    # the plan anchored on a K_2 asks for one K_2 fewer and runs last
+    plans.sort(key=lambda plan: -plan[-1][1])
+    least = plans[0][-1][1] if plans else 0
 
     def check_generic(adj, n, u, v, _plans=plans, _least=least):
         du = adj[u].bit_count()
@@ -587,7 +573,7 @@ def _scan(start: int, n_max: int, good):
     raise SearchCapError(f"r(F,G) > {n_max}; raise n_max")
 
 
-def ramsey_number(F: Graph, G: Graph, n_max: int = 32,
+def ramsey_number(F: Graph, G: Graph, n_max: int = MAX_VERTICES,
                   budget: Optional[float] = None, jobs: int = 1, pool=None) -> int:
     """Least n with arrows(n, F, G), found by scanning upward.
 
@@ -600,7 +586,7 @@ def ramsey_number(F: Graph, G: Graph, n_max: int = 32,
     return r
 
 
-def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = 32,
+def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = MAX_VERTICES,
                                budget: Optional[float] = None, jobs: int = 1, pool=None):
     """(r, witness at r-1).  The witness is None only when r-1 admits no
     coloring at all (r <= 1).

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from typing import Callable, NamedTuple, Optional
 
-from ramsey.arrowing import BudgetExceededError, _pool, ramsey_number
+from ramsey.arrowing import BudgetExceededError, SearchCapError, _pool, ramsey_number
 from ramsey.enumeration import EnumFilter, enumerate_graphs, isolate_free_graphs
 from ramsey.families import biclique, cycle, describe, path
 from ramsey.graphs import (MAX_VERTICES, Graph, canonical_form, disjoint_union, graph6_encode,
@@ -167,8 +167,9 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
 
     Reports stream through on_report as they finish; skip (canonical graph6
     keys) resumes a partial run.  A slack < 0 raises SweepViolationError
-    naming the counterexample; per-graph budget exhaustion is recorded in
-    .incomplete instead of aborting the sweep.
+    naming the counterexample.  A graph that runs out of budget, or whose
+    exact value passes MAX_VERTICES, is recorded in .incomplete with its
+    reason instead of aborting the sweep.
 
     Each graph's Ramsey number is one scan over n, up to bound + 2 or
     MAX_VERTICES, whichever is less, and the budget, in seconds, is one
@@ -188,12 +189,19 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
                     continue
                 p = g.n
                 bound = row.bound(p, q, k)
+                n_max = min(bound + 2, MAX_VERTICES)
                 t0 = time.perf_counter()
                 try:
-                    exact = ramsey_number(F, g, n_max=min(bound + 2, MAX_VERTICES),
-                                          budget=budget, pool=pool)
+                    exact = ramsey_number(F, g, n_max=n_max, budget=budget, pool=pool)
                 except BudgetExceededError:
-                    result.incomplete.append((g6, "budget exceeded"))
+                    result.incomplete.append((g6, "ran out of budget"))
+                    continue
+                except SearchCapError:
+                    if n_max < MAX_VERTICES:  # exact > bound + 2
+                        raise SweepViolationError(
+                            f"{theorem} fails on {describe(g)} ({g6}): "
+                            f"exact > {n_max} > bound {bound}") from None
+                    result.incomplete.append((g6, f"have r above the {MAX_VERTICES}-vertex cap"))
                     continue
                 report = BoundReport(
                     theorem=theorem, g6=g6, name=describe(g), p=p, q=q, k=k, exact=exact,

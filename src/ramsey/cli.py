@@ -19,6 +19,7 @@ The arrows command always searches.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -37,7 +38,7 @@ from ramsey.arrowing import (
 from ramsey.bounds import THEOREMS, BoundReport, SweepViolationError, sweep, sweep_params
 from ramsey.enumeration import EnumFilter, enumerate_graphs
 from ramsey.families import NameParseError, graph_from_name
-from ramsey.graphs import GraphError, embeds, graph6_encode
+from ramsey.graphs import MAX_VERTICES, GraphError, embeds, graph6_encode
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ramsey", help="compute r(F,G) and write the (r-1)-witness")
     p.add_argument("--red", required=True, metavar="NAME", help="pattern forbidden in red (F)")
     p.add_argument("--blue", required=True, metavar="NAME", help="pattern forbidden in blue (G)")
-    p.add_argument("--max-n", type=int, default=32, help="give up beyond this order")
+    p.add_argument("--max-n", type=int, default=MAX_VERTICES, help="give up beyond this order")
     p.add_argument("--witness", metavar="FILE", default=None,
                    help="where to write the (r-1)-witness (default: derived from the names)")
     add_common(p)
@@ -211,7 +212,8 @@ def _cmd_verify(args) -> int:
         with open(args.json, "a") as fp:
             fp.write(footer + "\n")
     if result.incomplete:
-        print(f"incomplete: {len(result.incomplete)} graph(s) ran out of budget",
+        counts = collections.Counter(reason for _, reason in result.incomplete)
+        print("incomplete: " + ", ".join(f"{n} graph(s) {reason}" for reason, n in counts.items()),
               file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK if result.ok else EXIT_VIOLATION

@@ -402,8 +402,8 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[int], list[list[int]], 
 # embeds(h, g) is the one containment test in the package.  After its size
 # guards it dispatches on h's shape:
 # - mK2 (_as_matching): g has m disjoint edges, decided by the matching
-#   kernel _has_matching, which the search's check_matching and the leaves
-#   of its generic check share;
+#   kernel _has_matching, which the search's check_matching and every
+#   plan's leaf share;
 # - K_{2,k}, k >= 2 (as_biclique): some pair of g's vertices has k common
 #   neighbours, one AND per pair;
 # - anything else: degree sequences first (pigeonhole: h's i-th largest
@@ -416,31 +416,32 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[int], list[list[int]], 
 # it.  Each plan step lists the positions of the vertex's neighbours placed
 # before it, so a candidate image is one AND of their images' rows, and the
 # vertex's degree, which a candidate must reach.  The last step, the leaf
-# (None, pairs), asks the matching kernel for pairs disjoint edges among
-# the vertices left free, and passes at once when pairs is 0.
-# embed_plan(h) walks components largest first, each breadth-first from
-# its highest-degree vertex, so every later vertex of a component has a
-# placed neighbour.
-# embed_plan(h, (a, b)) puts a and b first and their component before the
-# rest; a caller that maps a and b onto a host edge (u, v) asks whether h
-# occurs through that edge, which is what the search's generic anchored
-# check needs.  That check places a pattern less its K_2 components and
-# leaves those to the leaf.
+# (None, m), asks the matching kernel for m disjoint edges among the
+# vertices left free, and passes at once when m is 0.
+# embed_plan(h) leaves h's K_2 components to the leaf and walks the others
+# largest first, each breadth-first from its highest-degree vertex, so
+# every later vertex of a component has a placed neighbour.
+# embed_plan(h, (a, b)) puts a and b first and their component, K_2 or
+# not, before the rest; a caller that maps a and b onto a host edge (u, v)
+# asks whether h occurs through that edge, which is what the search's
+# generic anchored check needs.
 # ---------------------------------------------------------------------------
 
 Plan = list[tuple[list[int] | None, int]]
 
 
-def embed_plan(h: Graph, anchor: tuple[int, int] | None = None, pairs: int = 0) -> Plan:
+def embed_plan(h: Graph, anchor: tuple[int, int] | None = None) -> Plan:
     """Placement plan for h: per placed vertex, in order, the positions of
-    its earlier-placed neighbours and its degree, then the leaf (None,
-    pairs).  With an anchor edge (a, b), steps 0 and 1 are a and b."""
+    its earlier-placed neighbours and its degree, then the leaf (None, m),
+    m the K_2 components left to it: all but the anchor edge (a, b)'s,
+    whose ends are steps 0 and 1."""
     # lists, not tuples: CPython parks each resized tuple(generator) result
     # on a per-size free list when it dies, which raised peak memory
     deg = [row.bit_count() for row in h.adj]
     lead = 1 << anchor[0] if anchor is not None else 0
-    comps = sorted(_component_masks(h),
-                   key=lambda m: (not m & lead, -sum(deg[v] for v in _bits(m))))
+    masks = _component_masks(h)
+    comps = sorted([c for c in masks if c & lead or c.bit_count() != 2],
+                   key=lambda c: (not c & lead, -sum(deg[v] for v in _bits(c))))
     order: list[int] = []
     placed = 0
     for comp in comps:
@@ -455,7 +456,7 @@ def embed_plan(h: Graph, anchor: tuple[int, int] | None = None, pairs: int = 0) 
             head += 1
     pos = {v: i for i, v in enumerate(order)}
     return [([pos[w] for w in _bits(h.adj[v]) if pos[w] < i], deg[v])
-            for i, v in enumerate(order)] + [(None, pairs)]
+            for i, v in enumerate(order)] + [(None, len(masks) - len(comps))]
 
 
 def extend_embedding(adj: Sequence[int], free: int, plan: Plan, img: list[int], t: int) -> bool:
@@ -463,10 +464,9 @@ def extend_embedding(adj: Sequence[int], free: int, plan: Plan, img: list[int], 
     vertices of the free mask, given the images img[:t] of the earlier
     steps: each image adjacent to the images of the step's placed
     neighbours and of at least the step's degree, and the vertices still
-    free at the leaf (None, pairs) hold pairs disjoint edges.  Writes
-    img[t:]."""
+    free at the leaf (None, m) hold m disjoint edges.  Writes img[t:]."""
     nbrs, need = plan[t]
-    if nbrs is None:  # the leaf, and need is its number of pairs
+    if nbrs is None:  # the leaf, and need is its number of K_2s
         return not need or _has_matching(adj, free, need)
     cand = free
     for p in nbrs:

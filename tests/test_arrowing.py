@@ -385,7 +385,7 @@ class TestGenericCheck:
         ("P4", 7), ("paw", 7), ("K3", 7), ("P3 u K2", 7), ("2K3", 6),
         ("K3 u K2", 6), ("bull", 6), ("C5", 6),
         # near-matching forests: their K2 components go to the matching
-        # kernel, and 2K2 u K1 leaves the plans no edge to place
+        # kernel, and 2K2 u K1's one plan is anchored on a K2
         ("2K2 u P3", 8), ("3K2 u P3", 9), ("2K2 u K3", 8), ("K2 u 2P3", 8),
         ("2K2 u K1,3", 8), ("2K2 u K1", 7),
     ])

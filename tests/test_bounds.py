@@ -3,7 +3,8 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from ramsey import arrowing
-from ramsey.bounds import check_cited_inequalities, sweep, sweep_params
+from ramsey.bounds import (THEOREMS, SweepViolationError, check_cited_inequalities, sweep,
+                           sweep_params)
 
 
 def test_t1_holds_with_the_papers_equality_cases():
@@ -63,6 +64,23 @@ def test_sweep_whose_bound_passes_the_vertex_cap():
     result = sweep("l32", k=15, q_max=2)
     assert result.ok
     assert rows(result) == [("P3", 17, 31), ("2K2", 18, 31)]
+
+
+def test_sweep_records_a_value_past_the_vertex_cap():
+    # r(K2,30, 2K2) = k + 3 = 33 passes MAX_VERTICES; the row is kept as
+    # incomplete, with its own reason, and the sweep goes on
+    result = sweep("l32", k=30, q_max=2, skip={"BW"})
+    assert result.reports == []
+    assert result.incomplete == [("CK", "have r above the 32-vertex cap")]
+    assert not result.ok
+
+
+def test_sweep_reports_a_scan_past_the_bound_as_a_violation(monkeypatch):
+    # with the bound set to 2, the scan for 2K2 stops at 4 < r(C4, 2K2) = 5,
+    # which already breaks the bound
+    monkeypatch.setitem(THEOREMS, "t1", THEOREMS["t1"]._replace(bound=lambda p, q, k: 2))
+    with pytest.raises(SweepViolationError, match=r"t1 fails on 2K2 \(CK\): exact > 4 > bound 2"):
+        sweep("t1", q_max=2, skip={"BW"})
 
 
 @pytest.mark.parametrize("theorem,k", [("t1", 3), ("t2", 1), ("l31", 1), ("l32", 31),

@@ -234,6 +234,17 @@ def test_budget_does_not_depend_on_jobs(capsys):
     assert summary["equality"] == ["2K2", "3K2", "4K2"]
 
 
+def test_incomplete_line_names_each_reason(capsys):
+    # P3's search runs out of budget; 2K2 is decided by structure, with no
+    # budget, but r(K2,30, 2K2) = 33 passes the vertex cap
+    code = main(["verify", "--theorem", "l32", "--k", "30", "--q-max", "2", "--budget", "1e-9"])
+    assert code == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert json.loads(out.splitlines()[-1])["summary"]["incomplete"] == ["BW", "CK"]
+    assert err == ("incomplete: 1 graph(s) ran out of budget, "
+                   "1 graph(s) have r above the 32-vertex cap\n")
+
+
 def test_cli_import_leaves_the_pool_and_dataclasses_unloaded():
     # a sequential run never opens a pool, so importing the CLI must not
     # pay for concurrent.futures (with multiprocessing) or dataclasses

@@ -279,9 +279,10 @@ class TestEmbeds:
             for g in pool:
                 assert embeds(h, g) == brute_embeds(h, g), (h, g)
 
-    # the shapes embeds dispatches on, and 2K2 u K1, a near-matching that
-    # takes the plan kernel
-    SHAPES = ["K2", "2K2", "3K2", "K2,2", "K2,3", "K2,4", "2K2 u K1"]
+    # the shapes embeds dispatches on, and near-matchings, whose plans
+    # leave their K2 components to the matching kernel at the leaf
+    SHAPES = ["K2", "2K2", "3K2", "K2,2", "K2,3", "K2,4", "2K2 u K1",
+              "K2 u P3", "K2 u K3", "K2 u P4", "K2 u K1,3"]
 
     def test_shapes_agree_with_brute_force(self):
         pats = [graph_from_name(name) for name in self.SHAPES]
@@ -292,7 +293,7 @@ class TestEmbeds:
 
     @pytest.mark.parametrize("name,kernels", [
         ("3K2", {"_has_matching"}), ("K2,3", set()),
-        ("2K2 u K1", {"extend_embedding"}), ("P3", {"extend_embedding"}),
+        ("2K2 u K1", {"extend_embedding", "_has_matching"}), ("P3", {"extend_embedding"}),
     ])
     def test_shape_dispatch(self, monkeypatch, name, kernels):
         called = set()
@@ -322,6 +323,41 @@ class TestEmbeds:
             assert embeds(h, g) == want, (h, g)
             verdicts.add(want)
         assert verdicts == {True, False}
+
+
+class TestEmbedPlan:
+    """The plan's leaf takes the K2 components its steps do not place."""
+
+    @staticmethod
+    def k2_edge(h):
+        return next((a, b) for a, b in h.edges()
+                    if h.adj[a] == 1 << b and h.adj[b] == 1 << a)
+
+    @pytest.mark.parametrize("name,steps,leaf", [
+        ("K3", 3, 0), ("2K2 u P3", 3, 2), ("3K2 u P3", 3, 3), ("K2 u 2P3", 6, 1),
+        ("2K2 u K1", 1, 2), ("2K3", 6, 0),
+    ])
+    def test_unanchored_leaf_counts_the_k2s(self, name, steps, leaf):
+        plan = graphs.embed_plan(graph_from_name(name))
+        assert len(plan) - 1 == steps
+        assert plan[-1] == (None, leaf)
+
+    @pytest.mark.parametrize("name", ["2K2 u P3", "3K2 u P3", "K2 u K3", "2K2 u K1"])
+    def test_anchor_on_a_k2_places_it_first(self, name):
+        h = graph_from_name(name)
+        a, b = self.k2_edge(h)
+        m = graphs.embed_plan(h)[-1][1]
+        plan = graphs.embed_plan(h, (a, b))
+        assert plan[:2] == [([], 1), ([0], 1)]
+        assert plan[-1] == (None, m - 1)
+        assert len(plan) - 1 == h.n - 2 * (m - 1)
+
+    def test_anchor_off_the_k2s_keeps_the_count(self):
+        h = graph_from_name("2K2 u P3")
+        a = next(v for v in range(h.n) if h.adj[v].bit_count() == 2)
+        plan = graphs.embed_plan(h, (a, next(_bits(h.adj[a]))))
+        assert plan[:2] == [([], 2), ([0], 1)]
+        assert plan[-1] == (None, 2)
 
 
 class TestAsBiclique:
