@@ -1,6 +1,6 @@
 """Exact small Ramsey numbers r(F, G) by exhaustive symmetry-broken
-two-coloring search, plus sweep harnesses that check edge-count upper
-bounds against the exact values."""
+two-coloring search, plus the sweep that checks the paper's edge-count
+upper bounds against the exact values."""
 
 from ramsey.graphs import (
     Graph,

@@ -574,15 +574,16 @@ def _scan(start: int, n_max: int, good):
 
 
 def ramsey_number(F: Graph, G: Graph, n_max: int = MAX_VERTICES,
-                  budget: Optional[float] = None, jobs: int = 1, pool=None) -> int:
-    """Least n with arrows(n, F, G), found by scanning upward.
+                  budget: Optional[float] = None, pool=None) -> int:
+    """Least n with arrows(n, F, G), found by scanning upward, in this
+    process or on the caller's open pool.
 
     The scan starts at the larger pattern's order: below it that pattern
     does not fit, so coloring every edge in its color is good.  Raises
     ValueError if n_max is below that start, and SearchCapError if n_max
     is reached first.
     """
-    r, _ = ramsey_number_with_witness(F, G, n_max=n_max, budget=budget, jobs=jobs, pool=pool)
+    r, _ = ramsey_number_with_witness(F, G, n_max=n_max, budget=budget, pool=pool)
     return r
 
 

@@ -1,9 +1,10 @@
-"""Edge-count upper bounds on r(F, G) and the sweep harness that checks
-them against exact values over enumerated graph classes.
+"""The paper's theorem table and its sweep.
 
-Each sweep computes the exact Ramsey number for every graph in the
-theorem's domain (both directions: arrowing at the bound and a good
-coloring below it), so equality cases are classified, not just bounded.
+THEOREMS holds one row per edge-count upper bound on r(K_{2,k}, G): t1,
+t2, l31, l32 and t3.  sweep checks one row against exact values over the
+enumerated graphs of its domain.  It computes the exact Ramsey number for
+every graph (both directions: arrowing at the bound and a good coloring
+below it), so equality cases are classified, not just bounded.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ import time
 from typing import Callable, NamedTuple, Optional
 
 from ramsey.arrowing import BudgetExceededError, SearchCapError, _pool, ramsey_number
-from ramsey.enumeration import EnumFilter, enumerate_graphs, isolate_free_graphs
-from ramsey.families import biclique, cycle, describe, path
-from ramsey.graphs import (MAX_VERTICES, Graph, canonical_form, disjoint_union, graph6_encode,
-                           is_connected)
+from ramsey.enumeration import isolate_free_graphs
+from ramsey.families import biclique, describe
+from ramsey.graphs import MAX_VERTICES, Graph, graph6_encode, is_connected
 
 
 class BoundReport(NamedTuple):
@@ -215,70 +215,3 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
                         f"{theorem} fails on {report.name} ({g6}): "
                         f"exact {exact} > bound {bound}")
     return result
-
-
-class InequalityCheck(NamedTuple):
-    label: str
-    lhs: int
-    rhs: int
-    holds: bool
-
-
-def check_cited_inequalities(q_max: int = 4, budget: Optional[float] = None,
-                             jobs: int = 1) -> list[InequalityCheck]:
-    """Evaluate the borrowed inequalities with exact computed values.
-
-    - chain r(C_4, P_n) <= r(C_4, C_n) <= n+2 for 4 <= n <= q_max+1
-      (n = 3 is outside the chain's range: the triangle has r = 7 > 5);
-    - union subadditivity r(C_4, G1 u G2) <= r(C_4, G1) + r(C_4, G2) - 1
-      over all isolate-free pairs with q1 + q2 <= q_max;
-    - the tree bound r(C_4, T) <= max(4, q+2, r(C_4, K_{1,q})) for every
-      tree with q <= q_max edges.
-    """
-    if q_max > 5:
-        raise ValueError("cited-inequality checks are desk-scale: q_max <= 5")
-    C4 = biclique(2, 2)
-    out: list[InequalityCheck] = []
-    # one process pool for every value the checks ask for
-    with _pool(jobs) as pool:
-        # the checks ask for most values several times; key on the class
-        known: dict[str, int] = {}
-
-        def r_of(g: Graph) -> int:
-            key = graph6_encode(canonical_form(g))
-            if key not in known:
-                known[key] = ramsey_number(C4, g, n_max=2 * max(g.q, 2) + 3,
-                                           budget=budget, pool=pool)
-            return known[key]
-
-        for n in range(4, q_max + 2):
-            rp, rc = r_of(path(n)), r_of(cycle(n))
-            out.append(InequalityCheck(f"r(C4,P{n}) <= r(C4,C{n})", rp, rc, rp <= rc))
-            out.append(InequalityCheck(f"r(C4,C{n}) <= {n + 2}", rc, n + 2, rc <= n + 2))
-
-        singles: list[tuple[Graph, int]] = []
-        for q in range(1, q_max):
-            for g in isolate_free_graphs(q):
-                singles.append((g, q))
-        for i, (g1, q1) in enumerate(singles):
-            for g2, q2 in singles[i:]:
-                if q1 + q2 > q_max:
-                    continue
-                union = canonical_form(disjoint_union(g1, g2))
-                lhs = r_of(union)
-                rhs = r_of(g1) + r_of(g2) - 1
-                out.append(InequalityCheck(
-                    f"r(C4,{describe(union)}) <= r(C4,{describe(g1)}) + r(C4,{describe(g2)}) - 1",
-                    lhs, rhs, lhs <= rhs))
-
-        for q in range(1, q_max + 1):
-            r_star = r_of(biclique(1, q))
-            for tree in enumerate_graphs(EnumFilter(q=q, require_connected=True)):
-                if tree.n != q + 1:
-                    continue
-                bound = max(4, q + 2, r_star)
-                lhs = r_of(tree)
-                out.append(InequalityCheck(
-                    f"r(C4,{describe(tree)}) <= max(4, {q + 2}, r(C4,K1,{q}))",
-                    lhs, bound, lhs <= bound))
-    return out

@@ -2,12 +2,13 @@
 sweeps, graph enumeration and witness validation.
 
 Exit codes: 0 success, 1 theorem violation / invalid witness, 2 usage
-error, 3 budget exceeded.  Runs are bit-reproducible for identical flags;
---jobs only partitions the search tree.  With --jobs above 1 a command
-opens at most one process pool, which every scan of a verify sweep
-shares, and opening it imports concurrent.futures; a sequential run never
-loads it.  --budget is a number of seconds: one deadline per order n,
-shared by all of that order's subtrees whatever --jobs is.
+error (an output file that cannot be opened is one), 3 budget exceeded.
+Runs are bit-reproducible for identical flags; --jobs only partitions the
+search tree.  With --jobs above 1 a command opens at most one process
+pool, which every scan of a verify sweep shares, and opening it imports
+concurrent.futures; a sequential run never loads it.  --budget is a number
+of seconds: one deadline per order n, shared by all of that order's
+subtrees whatever --jobs is.
 
 A Ramsey number with a matching mK2 on either side (ramsey, verify) is
 decided by structure, from the edge-maximal mK2-free graphs: no search, no
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (NameParseError, GraphError, ValueError) as e:
+    except (NameParseError, GraphError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as e:

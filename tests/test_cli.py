@@ -99,6 +99,23 @@ def test_arrows_rejects_bad_order(tmp_path, capsys, n):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("command,out", [
+    (["verify", "--theorem", "t1", "--q-max", "2", "--json"], ""),
+    (["verify", "--theorem", "t1", "--q-max", "2", "--resume", "--json"], ""),
+    (["ramsey", "--red", "C4", "--blue", "K3", "--witness"], "7\n"),
+    (["arrows", "--n", "6", "--red", "C4", "--blue", "K3", "--witness"],
+     "GOOD COLORING EXISTS\n"),
+], ids=["verify", "verify-resume", "ramsey", "arrows"])
+def test_unopenable_output_path_is_a_usage_error(tmp_path, capsys, command, out):
+    # one error line and exit 2, not a traceback and the violation code
+    path = tmp_path / "missing" / "out"
+    assert main(command + [str(path)]) == EXIT_USAGE
+    got, err = capsys.readouterr()
+    assert got == out
+    assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1
+
+
 def test_enumerate_connected_with_isolated_allowed(capsys):
     assert main(["enumerate", "--edges", "1", "--connected", "--allow-isolated",
                  "--max-vertices", "3"]) == 0
