@@ -43,14 +43,16 @@ meets the blocks in falling d.  Every search splits there: _split yields
 each d whose red and blue stars miss F and G, and one loop consumes them
 and the subtree of blocks 1 and up below each, so the witness and node
 count are the whole-tree DFS's (kept in the tests as the oracle) for any
-jobs.  With jobs=1 the subtrees run lazily in this process; with more,
-as tasks on a process pool that lives for one scan, or for a whole
-bounds sweep that passes its own, and whose concurrent.futures import
-waits for the first pool.  A budget is a number of seconds: one
+jobs.  With jobs=1 the subtrees run lazily in this process.  With more,
+each order n forks jobs - 1 helpers once it has split (os.fork, so jobs
+above 1 needs a platform that has it); the subtrees are dealt out in
+turn, this process keeps every jobs-th one from the first, and the loop
+reads the others from their helpers' pipes.  The helpers are killed once
+the order's answer is known.  A budget is a number of seconds: one
 deadline per order n, shared by the split and every subtree.
 
 A Ramsey number with a matching mK_2 on either side is decided by
-structure, with no search, pool or budget (matching_arrows).  On n >= 2m
+structure, with no search, helper or budget (matching_arrows).  On n >= 2m
 vertices every mK_2-free graph lies inside some K_s joined to odd cliques
 K_{c_1} u ... u K_{c_t} with s + sum (c_i - 1)/2 = m - 1 (Gallai-Edmonds,
 Lovasz & Plummer, Matching Theory, 1986, ch. 3), so K_n has a good
@@ -62,7 +64,8 @@ arrows() always searches, so it stays the oracle for that walk.
 
 from __future__ import annotations
 
-import contextlib
+import marshal
+import os
 import time
 from typing import NamedTuple, Optional
 
@@ -84,11 +87,9 @@ from ramsey.graphs import (
 )
 
 _CHECK_MASK = 0xFFF  # budget clock checked every 4096 nodes
-
-# bound from concurrent.futures by the first scan that asks for a pool,
-# unless a stand-in was put here first; the import pulls in multiprocessing,
-# pickle, socket and logging, which a sequential run never needs
-ProcessPoolExecutor = None
+# SIGKILL's number, fixed by POSIX; importing signal for it would add
+# about 1.5 ms to every run's start
+_SIGKILL = 9
 
 
 class BudgetExceededError(RuntimeError):
@@ -401,37 +402,72 @@ def _split(n, red_check, blue_check, deadline):
     yield nodes - last, None
 
 
-def _search_task(n, F, G, deadline, d):
-    """Pool task: _search, with the anchored checks built in the worker."""
-    return _search(n, _make_check(F), _make_check(G), deadline, d)
+def _check_jobs(jobs: int) -> None:
+    """Refuse a jobs count no search can run: below 1, or above 1 where
+    os.fork, which starts the helpers, is missing."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"jobs={jobs} needs os.fork, which this platform lacks")
 
 
-def _pool(jobs: int):
-    """The context a scan searches in: a process pool of jobs workers,
-    or, for jobs == 1, a null context whose value is None.  The first
-    pool imports concurrent.futures."""
-    if jobs <= 1:
-        return contextlib.nullcontext()
-    global ProcessPoolExecutor
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=jobs)
+def _fork_helper(n, red_check, blue_check, deadline, ds):
+    """Fork a helper that searches each d of ds in order and writes one
+    marshalled (red rows or None, nodes, overrun message or None) per
+    subtree to a pipe, stopping after the first witness or overrun.
+    Returns (pid, the pipe's read end as a file).
+
+    The helper is a copy of this process, so it has the checks, n and
+    the deadline without any pickling.  It leaves only through os._exit,
+    which neither unwinds the caller's frames nor flushes the caller's
+    buffered files, whatever ends the search.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as out:
+                for d in ds:
+                    try:
+                        record = *_search(n, red_check, blue_check, deadline, d), None
+                    except BudgetExceededError as e:
+                        record = None, e.nodes, str(e)
+                    marshal.dump(record, out)
+                    out.flush()
+                    if record[0] is not None or record[2] is not None:
+                        break
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
 
 
-def _run_search(n, F, G, checks, budget, pool):
+def _run_search(n, F, G, checks, budget, jobs):
     """(witness or None, nodes) for K_n against (F, G); the witness is a
     good coloring's red graph.
 
     One loop consumes _split's values of d and the subtree below each, in
     falling d, as the whole-tree DFS meets them.  checks is the pair of
     anchored checks (_make_check) of F and G, which the caller builds once
-    for its whole scan, since they do not depend on n.  pool is the
-    caller's process pool, which serves its whole scan, or None to search
-    each subtree in this process when the loop reaches it; each pool task
-    builds its own checks in its worker.  budget, in seconds or None, is
-    one deadline from this call's start for the split and every subtree.
-    An overrun, from the split, a subtree or a pool task, is raised again
-    with every node counted so far.
+    for its whole scan, since they do not depend on n.  With jobs=1 the
+    split stays lazy and each subtree is searched in this process when
+    the loop reaches it.  With more, the split is run out first and the
+    i-th d goes to share i % jobs: this process searches share 0 when the
+    loop reaches it, and one forked helper (_fork_helper) per other share
+    searches its own at once.  Being fixed, the shares make the same
+    _search calls here on every run.  The helpers are killed and reaped
+    before this returns or raises, so none outlives its order.  budget,
+    in seconds or None, is one deadline from this call's start for the
+    split and every subtree.  An overrun, from the split, a subtree here
+    or a helper's, is raised again with every node counted so far.
     """
     if not 0 <= n <= MAX_VERTICES:
         raise GraphError(f"order {n} outside 0..{MAX_VERTICES}")
@@ -445,25 +481,29 @@ def _run_search(n, F, G, checks, budget, pool):
         return from_edges(n, lex_edges(n)), 0
     red_check, blue_check = checks
     split = _split(n, red_check, blue_check, deadline)
-    if pool is None:
-        futures = ()
-
-        def result(d):
-            return _search(n, red_check, blue_check, deadline, d)
-    else:
-        split = list(split)
-        futures = [pool.submit(_search_task, n, F, G, deadline, d) for _, d in split[:-1]]
-        pending = iter(futures)
-
-        def result(d):
-            return next(pending).result()
+    helpers = []  # (pid, pipe) of shares 1, 2, ...
     nodes = 0
     try:
-        for lead, d in split:
+        if jobs > 1:
+            split = list(split)
+            ds = [d for _, d in split[:-1]]
+            for w in range(1, min(jobs, len(ds))):
+                helpers.append(_fork_helper(n, red_check, blue_check, deadline, ds[w::jobs]))
+        for i, (lead, d) in enumerate(split):
             nodes += lead
             if d is None:
                 break  # the split's nodes after its last d
-            red, sub = result(d)
+            if i % jobs == 0:
+                red, sub = _search(n, red_check, blue_check, deadline, d)
+            else:
+                pid, pipe = helpers[i % jobs - 1]
+                try:
+                    red, sub, overrun = marshal.load(pipe)
+                except EOFError:
+                    raise RuntimeError(
+                        f"search helper {pid} for n={n} ended before its subtree d={d}") from None
+                if overrun is not None:
+                    raise BudgetExceededError(overrun, nodes=sub)
             nodes += sub
             if red is not None:
                 return Graph(n, red), nodes
@@ -471,8 +511,11 @@ def _run_search(n, F, G, checks, budget, pool):
         e.nodes += nodes
         raise
     finally:
-        for fut in futures:
-            fut.cancel()
+        for pid, pipe in helpers:
+            os.kill(pid, _SIGKILL)
+            pipe.close()
+        for pid, _ in helpers:
+            os.waitpid(pid, 0)
     return None, nodes
 
 
@@ -486,9 +529,9 @@ def arrows(n: int, F: Graph, G: Graph, budget: Optional[float] = None,
     when it runs out first; that outcome is never silently coerced to
     either answer.
     """
+    _check_jobs(jobs)
     checks = _make_check(F), _make_check(G)
-    with _pool(jobs) as pool:
-        witness, nodes = _run_search(n, F, G, checks, budget, pool)
+    witness, nodes = _run_search(n, F, G, checks, budget, jobs)
     return ArrowingOutcome(witness is None, witness, nodes)
 
 
@@ -574,37 +617,37 @@ def _scan(start: int, n_max: int, good):
 
 
 def ramsey_number(F: Graph, G: Graph, n_max: int = MAX_VERTICES,
-                  budget: Optional[float] = None, pool=None) -> int:
-    """Least n with arrows(n, F, G), found by scanning upward, in this
-    process or on the caller's open pool.
+                  budget: Optional[float] = None, jobs: int = 1) -> int:
+    """Least n with arrows(n, F, G), found by scanning upward.
 
     The scan starts at the larger pattern's order: below it that pattern
     does not fit, so coloring every edge in its color is good.  Raises
     ValueError if n_max is below that start, and SearchCapError if n_max
     is reached first.
     """
-    r, _ = ramsey_number_with_witness(F, G, n_max=n_max, budget=budget, pool=pool)
+    r, _ = ramsey_number_with_witness(F, G, n_max=n_max, budget=budget, jobs=jobs)
     return r
 
 
 def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = MAX_VERTICES,
-                               budget: Optional[float] = None, jobs: int = 1, pool=None):
+                               budget: Optional[float] = None, jobs: int = 1):
     """(r, witness at r-1).  The witness is None only when r-1 admits no
     coloring at all (r <= 1).
 
     When G is a matching, each order n is decided by matching_arrows, by
-    structure: no search, no pool and no budget, and the witness is the
+    structure: no search, no helper and no budget, and the witness is the
     first coloring of its walk, the same for any jobs.  When only F is a
     matching, the scan decides (G, F) that way and returns the complement
     of its witness, since r(F, G) = r(G, F).
 
     Otherwise each order n is searched, with the anchored checks of F and
-    G built once for the whole scan.  With jobs > 1 one process pool,
-    imported and started on first use, serves the whole scan; a caller
-    that makes many scans passes its own open pool (from _pool) instead,
-    and jobs is then not read.  The budget, in seconds, applies to each
+    G built once for the whole scan.  With jobs > 1 each searched order
+    forks jobs - 1 helpers and kills them once it is decided (_run_search),
+    so jobs above 1 needs os.fork; without it, jobs > 1 raises ValueError
+    before anything is decided.  The budget, in seconds, applies to each
     order n on its own: one deadline per order, not one for the scan.
     """
+    _check_jobs(jobs)
     if n_max > MAX_VERTICES:
         raise GraphError(f"n_max exceeds cap {MAX_VERTICES}")
     start = 1
@@ -621,5 +664,4 @@ def ramsey_number_with_witness(F: Graph, G: Graph, n_max: int = MAX_VERTICES,
         r, witness = _scan(start, n_max, lambda n: matching_arrows(n, G, m))
         return r, None if witness is None else complement(witness)
     checks = _make_check(F), _make_check(G)
-    with _pool(jobs) if pool is None else contextlib.nullcontext(pool) as pool:
-        return _scan(start, n_max, lambda n: _run_search(n, F, G, checks, budget, pool)[0])
+    return _scan(start, n_max, lambda n: _run_search(n, F, G, checks, budget, jobs)[0])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from typing import Callable, NamedTuple, Optional
 
-from ramsey.arrowing import BudgetExceededError, SearchCapError, _pool, ramsey_number
+from ramsey.arrowing import BudgetExceededError, SearchCapError, _check_jobs, ramsey_number
 from ramsey.enumeration import isolate_free_graphs
 from ramsey.families import biclique, describe
 from ramsey.graphs import MAX_VERTICES, Graph, graph6_encode, is_connected
@@ -139,12 +139,14 @@ THEOREMS = {
 }
 
 
-def sweep_params(theorem: str, q_max: Optional[int] = None,
-                 k: Optional[int] = None) -> tuple[str, Theorem, int, int, Graph]:
+def sweep_params(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
+                 jobs: int = 1) -> tuple[str, Theorem, int, int, Graph]:
     """(theorem, its row, q_max, k, K_{2,k}) of a sweep, defaults filled in.
 
-    Raises ValueError when the arguments leave no sweep to run.
+    Raises ValueError when the arguments leave no sweep to run, jobs
+    included (jobs above 1 needs os.fork).
     """
+    _check_jobs(jobs)
     theorem = theorem.lower()
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}, pick one of {tuple(THEOREMS)}")
@@ -173,45 +175,46 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
 
     Each graph's Ramsey number is one scan over n, up to bound + 2 or
     MAX_VERTICES, whichever is less, and the budget, in seconds, is one
-    deadline for each order n of it.  With jobs > 1 one process pool
-    serves every scan of the sweep.  A matching G is decided by
-    structure, with no search, pool or budget (arrowing.matching_arrows).
+    deadline for each order n of it.  With jobs > 1 each searched order
+    forks jobs - 1 helpers, which die once that order is decided
+    (arrowing._run_search); a platform without os.fork refuses jobs > 1
+    with ValueError before the first row.  A matching G is decided by
+    structure, with no search, helper or budget (arrowing.matching_arrows).
     """
-    theorem, row, q_max, k, F = sweep_params(theorem, q_max, k)
+    theorem, row, q_max, k, F = sweep_params(theorem, q_max, k, jobs)
     result = SweepResult(theorem)
-    with _pool(jobs) as pool:
-        for q in range(row.q_min, q_max + 1):
-            for g in isolate_free_graphs(q):
-                if not row.domain(g):
-                    continue
-                g6 = graph6_encode(g)
-                if skip and g6 in skip:
-                    continue
-                p = g.n
-                bound = row.bound(p, q, k)
-                n_max = min(bound + 2, MAX_VERTICES)
-                t0 = time.perf_counter()
-                try:
-                    exact = ramsey_number(F, g, n_max=n_max, budget=budget, pool=pool)
-                except BudgetExceededError:
-                    result.incomplete.append((g6, "ran out of budget"))
-                    continue
-                except SearchCapError:
-                    if n_max < MAX_VERTICES:  # exact > bound + 2
-                        raise SweepViolationError(
-                            f"{theorem} fails on {describe(g)} ({g6}): "
-                            f"exact > {n_max} > bound {bound}") from None
-                    result.incomplete.append((g6, f"have r above the {MAX_VERTICES}-vertex cap"))
-                    continue
-                report = BoundReport(
-                    theorem=theorem, g6=g6, name=describe(g), p=p, q=q, k=k, exact=exact,
-                    bound=bound, slack=bound - exact, equality=bound == exact,
-                    runtime=time.perf_counter() - t0)
-                result.reports.append(report)
-                if on_report:
-                    on_report(report)
-                if report.slack < 0:
+    for q in range(row.q_min, q_max + 1):
+        for g in isolate_free_graphs(q):
+            if not row.domain(g):
+                continue
+            g6 = graph6_encode(g)
+            if skip and g6 in skip:
+                continue
+            p = g.n
+            bound = row.bound(p, q, k)
+            n_max = min(bound + 2, MAX_VERTICES)
+            t0 = time.perf_counter()
+            try:
+                exact = ramsey_number(F, g, n_max=n_max, budget=budget, jobs=jobs)
+            except BudgetExceededError:
+                result.incomplete.append((g6, "ran out of budget"))
+                continue
+            except SearchCapError:
+                if n_max < MAX_VERTICES:  # exact > bound + 2
                     raise SweepViolationError(
-                        f"{theorem} fails on {report.name} ({g6}): "
-                        f"exact {exact} > bound {bound}")
+                        f"{theorem} fails on {describe(g)} ({g6}): "
+                        f"exact > {n_max} > bound {bound}") from None
+                result.incomplete.append((g6, f"have r above the {MAX_VERTICES}-vertex cap"))
+                continue
+            report = BoundReport(
+                theorem=theorem, g6=g6, name=describe(g), p=p, q=q, k=k, exact=exact,
+                bound=bound, slack=bound - exact, equality=bound == exact,
+                runtime=time.perf_counter() - t0)
+            result.reports.append(report)
+            if on_report:
+                on_report(report)
+            if report.slack < 0:
+                raise SweepViolationError(
+                    f"{theorem} fails on {report.name} ({g6}): "
+                    f"exact {exact} > bound {bound}")
     return result

@@ -4,15 +4,17 @@ sweeps, graph enumeration and witness validation.
 Exit codes: 0 success, 1 theorem violation / invalid witness, 2 usage
 error (an output file that cannot be opened is one), 3 budget exceeded.
 Runs are bit-reproducible for identical flags; --jobs only partitions the
-search tree.  With --jobs above 1 a command opens at most one process
-pool, which every scan of a verify sweep shares, and opening it imports
-concurrent.futures; a sequential run never loads it.  --budget is a number
-of seconds: one deadline per order n, shared by all of that order's
-subtrees whatever --jobs is.
+search tree.  With --jobs above 1 each searched order n forks --jobs - 1
+helper processes, which search their fixed share of its subtrees while
+this process searches its own, and which are killed once that order is
+decided.  So --jobs above 1 needs os.fork; where it is missing, the
+command exits 2 before any search.  --budget is a number of seconds: one
+deadline per order n, shared by all of that order's subtrees whatever
+--jobs is.
 
 A Ramsey number with a matching mK2 on either side (ramsey, verify) is
 decided by structure, from the edge-maximal mK2-free graphs: no search, no
-pool, and --budget does not apply.  Its witness is the first coloring of
+helper, and --budget does not apply.  Its witness is the first coloring of
 that walk, not the search's lex-greatest, and the same for any --jobs.
 The arrows command always searches.
 """
@@ -179,7 +181,7 @@ def _resumed_reports(path: str, theorem: str, k: int) -> list[BoundReport]:
 
 def _cmd_verify(args) -> int:
     # check the arguments before the --json file is opened, and emptied
-    k = sweep_params(args.theorem, args.q_max, args.k)[3]
+    k = sweep_params(args.theorem, args.q_max, args.k, args.jobs)[3]
     if args.resume and not args.json:
         raise ValueError("--resume needs --json FILE, the file to resume from")
     prior = []

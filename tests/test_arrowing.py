@@ -1,8 +1,8 @@
 import itertools
+import os
 import pickle
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -133,7 +133,8 @@ class TestFindGoodColoring:
         assert exc.value.nodes > 0
 
     def test_budget_error_keeps_nodes_through_pickle(self):
-        # a pool task's overrun reaches the parent pickled, with its nodes
+        # a caller that runs searches in its own worker processes gets an
+        # overrun back with its nodes
         e = pickle.loads(pickle.dumps(BudgetExceededError("over", nodes=1234)))
         assert type(e) is BudgetExceededError
         assert e.nodes == 1234
@@ -152,51 +153,80 @@ class TestFindGoodColoring:
 
 
 class TestPoolLifetime:
-    """One process pool per call that asks for one, counted through the
-    module attribute the benchmark's tracer also replaces."""
+    """The helpers a search forks: jobs - 1 per searched order n, each
+    killed and reaped before the order's answer is returned or its overrun
+    raised, so none is left to run on into the next order or scan."""
 
     @pytest.fixture
-    def opened(self, monkeypatch):
-        opened = []
+    def forks(self, monkeypatch):
+        forks = []
+        fork = os.fork
 
-        def counting_pool(*args, **kwargs):
-            opened.append(kwargs)
-            return ProcessPoolExecutor(*args, **kwargs)
-        monkeypatch.setattr(arrowing, "ProcessPoolExecutor", counting_pool)
-        return opened
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forks
 
-    def test_one_pool_per_scan(self, opened):
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_helper_outlives_a_scan(self, forks):
         witness = Path(__file__).resolve().parent.parent / "perfbench" / "c4_2k3.witness"
-        r, red = ramsey_number_with_witness(C4, graph_from_name("2K3"), jobs=2)
-        assert r == 8
-        assert coloring_to_text(red) == witness.read_text()
-        assert opened == [{"max_workers": 2}]
+        for jobs in (2, 3):
+            r, red = ramsey_number_with_witness(C4, graph_from_name("2K3"), jobs=jobs)
+            assert r == 8
+            assert coloring_to_text(red) == witness.read_text()
+            self.assert_no_child_left()
+        assert forks
 
-    def test_one_pool_per_arrows_call(self, opened):
-        assert arrows(8, C4, graph_from_name("2K3"), jobs=2).arrows
-        assert len(opened) == 1
+    def test_no_helper_outlives_an_overrun(self, forks):
+        with pytest.raises(BudgetExceededError) as exc:
+            arrows(11, C4, graph_from_name("5K2"), budget=0.2, jobs=2)
+        assert exc.value.nodes > 0
+        assert len(forks) == 1
+        self.assert_no_child_left()
 
-    def test_matching_opens_none(self, opened):
+    def test_a_helper_that_dies_is_an_error(self, monkeypatch):
+        # a helper killed from outside leaves its pipe empty; the search
+        # says so and still reaps it
+        me = os.getpid()
+        search = arrowing._search
+
+        def dying_search(*args):
+            if os.getpid() != me:
+                os._exit(3)
+            return search(*args)
+        monkeypatch.setattr(arrowing, "_search", dying_search)
+        with pytest.raises(RuntimeError, match="ended before its subtree"):
+            arrows(8, C4, graph_from_name("2K3"), jobs=2)
+        self.assert_no_child_left()
+
+    def test_jobs_minus_one_helpers_per_order(self, forks):
+        for jobs in (2, 3):
+            forks.clear()
+            assert arrows(8, C4, graph_from_name("2K3"), jobs=jobs).arrows
+            assert len(forks) == jobs - 1
+
+    def test_matching_opens_none(self, forks):
         # decided by structure, on either side
         assert ramsey_number_with_witness(C4, graph_from_name("3K2"), jobs=2)[0] == 7
         assert ramsey_number_with_witness(graph_from_name("3K2"), C4, jobs=2)[0] == 7
-        assert opened == []
+        assert forks == []
 
-    def test_sequential_opens_none(self, opened):
+    def test_sequential_opens_none(self, forks):
         assert ramsey_number_with_witness(C4, graph_from_name("2K3"))[0] == 8
         assert arrows(8, C4, graph_from_name("2K3")).arrows
-        assert opened == []
+        assert forks == []
 
     def test_jobs_run_the_same_subtrees(self, monkeypatch):
-        # jobs=1 searches, in this process and in the same order, the
-        # red degrees d of vertex 0 that jobs=2 submits to the pool
-        submitted = []
-
-        class RecordingPool(ProcessPoolExecutor):
-            def submit(self, fn, /, *args, **kwargs):
-                submitted.append(args[-1])
-                return super().submit(fn, *args, **kwargs)
-        monkeypatch.setattr(arrowing, "ProcessPoolExecutor", RecordingPool)
+        # this process searches every jobs-th d, from the first, of those
+        # that jobs=1 searches, in the same order; the helpers search the
+        # rest, and their calls are not seen here
         searched = []
         search = arrowing._search
 
@@ -205,9 +235,27 @@ class TestPoolLifetime:
             return search(*args)
         monkeypatch.setattr(arrowing, "_search", recording_search)
         M3 = graph_from_name("2K3")
-        assert arrows(8, C4, M3).nodes == arrows(8, C4, M3, jobs=2).nodes == 9583
-        assert len(searched) > 1
-        assert searched == submitted
+        assert arrows(8, C4, M3).nodes == 9583
+        every = searched[:]
+        assert len(every) > 3
+        for jobs in (2, 3):
+            searched.clear()
+            assert arrows(8, C4, M3, jobs=jobs).nodes == 9583
+            assert searched == every[0::jobs]
+
+    def test_jobs_need_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        M3 = graph_from_name("2K3")
+        for call in (lambda: arrows(8, C4, M3, jobs=2),
+                     lambda: ramsey_number_with_witness(C4, M3, jobs=2),
+                     lambda: ramsey_number_with_witness(C4, graph_from_name("3K2"), jobs=2)):
+            with pytest.raises(ValueError, match="os.fork"):
+                call()
+        assert arrows(8, C4, M3).nodes == 9583
+
+    def test_jobs_below_one_refused(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            arrows(8, C4, graph_from_name("2K3"), jobs=0)
 
 
 class TestArrows:
@@ -307,7 +355,7 @@ class TestArrows:
                     want = (None if red is None else Graph(n, red), nodes, calls[0])
                     calls[0] = 0
                     checks = counting_check(F, calls), counting_check(G, calls)
-                    got = _run_search(n, F, G, checks, None, None) + (calls[0],)
+                    got = _run_search(n, F, G, checks, None, 1) + (calls[0],)
                     assert got == want, (n, F.adj, G.adj)
         assert pairs == 1282
 

@@ -1,8 +1,7 @@
-from concurrent.futures import ProcessPoolExecutor
+import os
 
 import pytest
 
-from ramsey import arrowing
 from ramsey.arrowing import ramsey_number
 from ramsey.bounds import THEOREMS, SweepViolationError, sweep, sweep_params
 from ramsey.families import biclique, cycle, path
@@ -135,23 +134,14 @@ def test_cited_relations_over_the_t1_rows():
     assert all(lhs <= rhs for lhs, rhs in pairs)
 
 
-@pytest.fixture
-def opened(monkeypatch):
-    """The keyword arguments of every process pool opened, through the
-    module attribute the benchmark's tracer also replaces."""
-    opened = []
-
-    def counting_pool(*args, **kwargs):
-        opened.append(kwargs)
-        return ProcessPoolExecutor(*args, **kwargs)
-    monkeypatch.setattr(arrowing, "ProcessPoolExecutor", counting_pool)
-    return opened
-
-
-def test_one_pool_per_sweep(opened):
-    # the scans of every searched class share it, with the rows of jobs=1
+def test_sweep_rows_do_not_depend_on_jobs():
+    # each searched order forks helpers that search part of its subtrees
     rows = [(r.g6, r.exact) for r in sweep("t1", q_max=3, jobs=2).reports]
-    assert opened == [{"max_workers": 2}]
     assert rows == [(r.g6, r.exact) for r in sweep("t1", q_max=3).reports]
     assert len(rows) == 7
 
+
+def test_sweep_refuses_jobs_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="os.fork"):
+        sweep("t1", q_max=3, jobs=2)

@@ -262,14 +262,67 @@ def test_incomplete_line_names_each_reason(capsys):
                    "1 graph(s) have r above the 32-vertex cap\n")
 
 
-def test_cli_import_leaves_the_pool_and_dataclasses_unloaded():
-    # a sequential run never opens a pool, so importing the CLI must not
-    # pay for concurrent.futures (with multiprocessing) or dataclasses
+def test_cli_import_leaves_the_pool_and_dataclasses_unloaded(tmp_path):
+    # neither importing the CLI nor a search with forked helpers pays for
+    # concurrent.futures (with multiprocessing) or dataclasses
     src = os.path.dirname(os.path.dirname(ramsey.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    witness = str(tmp_path / "w")
     code = ("import sys, ramsey.cli; "
-            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'dataclasses') "
-            "if m in sys.modules))")
+            "mods = ('concurrent.futures', 'multiprocessing', 'dataclasses'); "
+            "print(sorted(m for m in mods if m in sys.modules)); "
+            "ramsey.cli.main(['ramsey', '--red', 'C4', '--blue', '2K3', '--jobs', '2', "
+            f"'--witness', {witness!r}]); "
+            "print(sorted(m for m in mods if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "8", "[]"]
+
+
+def test_helpers_leave_the_callers_stack_and_buffers_alone(tmp_path, monkeypatch):
+    # verify --jobs 2 writes the jobs=1 rows, once each.  Its rows sit
+    # unflushed in a buffered stdout while later orders fork their helpers,
+    # so a helper that flushed its copy of that buffer would print them
+    # again.  With os.kill made a no-op each helper ends on its own, so one
+    # that came back through these frames reaches the finally below
+    # instead of racing the kill.
+    def rows(text):
+        return [{k: v for k, v in json.loads(line).items() if k != "runtime"}
+                for line in text.splitlines()]
+    argv = ["verify", "--theorem", "t1", "--q-max", "3", "--json"]
+    assert main(argv + [str(tmp_path / "one.jsonl")]) == EXIT_OK
+    me = os.getpid()
+    with open(tmp_path / "stdout", "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(os, "kill", lambda pid, sig: None)
+        try:
+            code = main(argv + [str(tmp_path / "two.jsonl"), "--jobs", "2"])
+        finally:
+            if os.getpid() != me:
+                (tmp_path / "escaped").touch()
+                os._exit(1)
+            monkeypatch.undo()
+    assert code == EXIT_OK
+    assert not (tmp_path / "escaped").exists()
+    one = rows((tmp_path / "one.jsonl").read_text())
+    assert len(one) == 8  # 7 rows and the footer
+    assert rows((tmp_path / "two.jsonl").read_text()) == one
+    assert rows((tmp_path / "stdout").read_text()) == one
+
+
+@pytest.mark.parametrize("command", [
+    ["arrows", "--n", "8", "--red", "C4", "--blue", "2K3", "--witness"],
+    ["ramsey", "--red", "C4", "--blue", "2K3", "--witness"],
+    ["verify", "--theorem", "t1", "--q-max", "3", "--json"],
+])
+def test_jobs_above_one_need_fork(tmp_path, monkeypatch, capsys, command):
+    # refused before any search, and before verify empties its --json file
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(arrowing, "_run_search", None)
+    path = tmp_path / "kept"
+    path.write_text("kept\n")
+    assert main(command + [str(path), "--jobs", "2"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: jobs=2 needs os.fork, which this platform lacks\n"
+    assert path.read_text() == "kept\n"
