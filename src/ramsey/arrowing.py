@@ -316,6 +316,10 @@ def _search(n: int, red_check, blue_check, deadline: Optional[float], d: int):
         rows[v] = 1
 
     nodes = 0
+    # (rows, check, lex-test?) for red, then blue: a blue edge is lex-tested
+    # only as its block's first, which completes row u on columns 0..u+1
+    first_steps = (red, red_check, True), (blue, blue_check, True)
+    later_steps = first_steps[0], (blue, blue_check, False)
 
     def bail():
         raise BudgetExceededError(
@@ -329,28 +333,18 @@ def _search(n: int, red_check, blue_check, deadline: Optional[float], d: int):
             if v >= n:
                 return True
         ubit, vbit = 1 << u, 1 << v
-        for color in (1, 0):
+        for rows, check, lex in (first_steps if v == u + 1 else later_steps):
             nodes += 1
             if (not nodes & _CHECK_MASK and deadline is not None
                     and time.monotonic() > deadline):
                 bail()
-            if color:
-                red[u] |= vbit
-                red[v] |= ubit
-                if not (_lex_violated(red, u, v) or red_check(red, n, u, v)):
-                    if dfs(u, v + 1):
-                        return True
-                red[u] &= ~vbit
-                red[v] &= ~ubit
-            else:
-                blue[u] |= vbit
-                blue[v] |= ubit
-                # a block's first edge completes row u on columns 0..u+1
-                if not ((v == u + 1 and _lex_violated(red, u, v)) or blue_check(blue, n, u, v)):
-                    if dfs(u, v + 1):
-                        return True
-                blue[u] &= ~vbit
-                blue[v] &= ~ubit
+            rows[u] |= vbit
+            rows[v] |= ubit
+            if not ((lex and _lex_violated(red, u, v)) or check(rows, n, u, v)):
+                if dfs(u, v + 1):
+                    return True
+            rows[u] &= ~vbit
+            rows[v] &= ~ubit
         return False
 
     # a subtree can start after the shared deadline has passed

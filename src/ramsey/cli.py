@@ -40,8 +40,15 @@ from ramsey.arrowing import (
 )
 from ramsey.bounds import THEOREMS, BoundReport, SweepViolationError, sweep, sweep_params
 from ramsey.enumeration import EnumFilter, enumerate_graphs
-from ramsey.families import NameParseError, graph_from_name
-from ramsey.graphs import MAX_VERTICES, GraphError, embeds, graph6_encode
+from ramsey.families import NameParseError, describe, graph_from_name
+from ramsey.graphs import (
+    MAX_VERTICES,
+    GraphError,
+    canonical_form,
+    embeds,
+    graph6_decode,
+    graph6_encode,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -77,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=_positive_float, default=None,
                        help="time budget in seconds (default: unlimited)")
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes for search-tree partitioning")
+                       help="processes per searched order n; above 1, the search forks "
+                            "JOBS - 1 helpers for each such order, which needs os.fork")
 
     p = sub.add_parser("ramsey", help="compute r(F,G) and write the (r-1)-witness")
     p.add_argument("--red", required=True, metavar="NAME", help="pattern forbidden in red (F)")
@@ -147,13 +155,43 @@ def _cmd_arrows(args) -> int:
     return EXIT_OK
 
 
+def _resumed_row_fault(report: BoundReport) -> str | None:
+    """Why the sweep could not have written report, or None if it could.
+
+    Its exact value is taken on trust; everything that follows from its
+    g6 and k, and from exact, must be what sweep computes.
+    """
+    try:
+        g = graph6_decode(report.g6)
+    except GraphError as e:
+        return f"g6 does not decode ({e})"
+    spec = THEOREMS[report.theorem]
+    if graph6_encode(canonical_form(g)) != report.g6:
+        return "g6 is not a canonical form"
+    if (g.n, g.q) != (report.p, report.q):
+        return f"g6 has p={g.n} and q={g.q}, the row p={report.p} and q={report.q}"
+    if min(g.degrees(), default=0) == 0 or g.q < spec.q_min or not spec.domain(g):
+        return f"graph is outside the {report.theorem} domain"
+    if report.name != describe(g):
+        return f"name is not {describe(g)!r}"
+    bound = spec.bound(g.n, g.q, report.k)
+    if report.bound != bound:
+        return f"bound is not {bound}"
+    if report.slack != bound - report.exact or report.equality is not (report.slack == 0):
+        return "slack or equality does not follow from exact"
+    return None
+
+
 def _resumed_reports(path: str, theorem: str, k: int) -> list[BoundReport]:
     """The report rows of earlier runs of the same sweep in a --json file.
 
     Every row names its theorem and k, so a file cut before its footer
-    still cannot resume a different sweep.
+    still cannot resume a different sweep.  A row the sweep could not have
+    written (_resumed_row_fault), or a second row for one graph, is
+    refused.
     """
     reports = []
+    seen = set()
     with open(path) as fp:
         for line in fp:
             try:
@@ -175,6 +213,14 @@ def _resumed_reports(path: str, theorem: str, k: int) -> list[BoundReport]:
             if report is not None:
                 if report.k != k:
                     raise ValueError(f"{path} holds a k={report.k} sweep, not k={k}")
+                try:
+                    fault = ("graph has an earlier row" if report.g6 in seen
+                             else _resumed_row_fault(report))
+                except (AttributeError, TypeError) as e:  # a field of the wrong type
+                    raise ValueError(f"bad report line in {path}: {line.strip()}") from e
+                if fault is not None:
+                    raise ValueError(f"bad resumed row {report.g6!r} in {path}: {fault}")
+                seen.add(report.g6)
                 reports.append(report)
     return reports
 

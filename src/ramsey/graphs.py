@@ -3,7 +3,7 @@
 A graph on n <= 32 vertices stores one int bitmask per vertex, so adjacency
 tests, neighbourhood intersections and degree counts are single-word
 operations.  Everything here is pure and allocation-light; Graph values are
-immutable and safe to share between search workers.
+immutable.
 """
 
 from __future__ import annotations
@@ -76,12 +76,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {self.edges()})"
-
-    def __getstate__(self):
-        return (self.n, self.adj)
-
-    def __setstate__(self, state):
-        self.n, self.adj = state
 
 
 def _unchecked_graph(n: int, adj: Sequence[int]) -> Graph:

@@ -338,25 +338,33 @@ class TestArrows:
     def test_split_replays_the_sequential_search(self):
         # the split and its subtrees, searched in falling d in this
         # process, give the whole-tree DFS's witness, node total and
-        # anchored checks, no more, over every pair of the 19 isolate-free
-        # patterns with q <= 4
-        calls = [0]
+        # anchored checks, in its order and no more, over every pair of the
+        # 19 isolate-free patterns with q <= 4
         pats = [g for q in range(1, 5) for g in isolate_free_graphs(q)]
         pairs = 0
+
+        def logged(pat, tag, log):
+            check = _make_check(pat)
+
+            def call(adj, n, u, v):
+                log.append((tag, u, v))
+                return check(adj, n, u, v)
+            return call
+
         for n in range(4, 8):
             for F in pats:
                 for G in pats:
                     if F.n > n and G.n > n:
                         continue  # decided before any search
                     pairs += 1
-                    calls[0] = 0
+                    want_log, got_log = [], []
                     red, nodes = brute_lex_leader_search(
-                        n, counting_check(F, calls), counting_check(G, calls))
-                    want = (None if red is None else Graph(n, red), nodes, calls[0])
-                    calls[0] = 0
-                    checks = counting_check(F, calls), counting_check(G, calls)
-                    got = _run_search(n, F, G, checks, None, 1) + (calls[0],)
+                        n, logged(F, "red", want_log), logged(G, "blue", want_log))
+                    want = (None if red is None else Graph(n, red), nodes)
+                    checks = logged(F, "red", got_log), logged(G, "blue", got_log)
+                    got = _run_search(n, F, G, checks, None, 1)
                     assert got == want, (n, F.adj, G.adj)
+                    assert got_log == want_log, (n, F.adj, G.adj)
         assert pairs == 1282
 
     @pytest.mark.parametrize("red,blue,n", [

@@ -169,18 +169,50 @@ def test_resume_needs_a_json_file(monkeypatch, capsys):
     assert "--resume needs --json" in err
 
 
+def _p3_row(**changes) -> str:
+    """The t1 row of P3 as verify writes it, with changes, as a JSON line."""
+    row = {"theorem": "t1", "graph": {"g6": "BW", "name": "P3"}, "p": 3, "q": 2, "k": 2,
+           "exact": 4, "bound": 5, "slack": 1, "equality": False, "runtime": 0.0}
+    return json.dumps({**row, **changes}) + "\n"
+
+
 @pytest.mark.parametrize("text,message", [
     ('{"graph": {"g6": "BW"}}\n', "bad report line"),
     ('{"summary": {"graphs": 0}}\n', "bad report line"),
     ('{"summary": {"theorem": "t2", "graphs": 0}}\n', "holds a t2 sweep"),
+    # rows the sweep could not have written
+    (_p3_row(exact=99), "slack or equality does not follow from exact"),
+    (_p3_row(graph={"g6": "garbage!", "name": "P3"}), "g6 does not decode"),
+    (_p3_row() + _p3_row(), "graph has an earlier row"),
+    (_p3_row(graph={"g6": "Bo", "name": "P3"}), "not a canonical form"),
+    (_p3_row(p=4), "the row p=4 and q=2"),
+    (_p3_row(graph={"g6": "A_", "name": "K2"}, p=2, q=1, bound=3, slack=0, exact=3,
+             equality=True), "outside the t1 domain"),
+    (_p3_row(graph={"g6": "BW", "name": "K1,2"}), "name is not 'P3'"),
+    (_p3_row(bound=6, slack=2), "bound is not 5"),
+    (_p3_row(equality=True), "slack or equality does not follow from exact"),
+    (_p3_row(exact="4"), "bad report line"),
 ])
 def test_resume_rejects_a_foreign_file(tmp_path, capsys, text, message):
     path = tmp_path / "t1.jsonl"
     path.write_text(text)
     code = main(["verify", "--theorem", "t1", "--q-max", "2", "--json", str(path), "--resume"])
     assert code == EXIT_USAGE
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
     assert path.read_text() == text
+
+
+def test_resume_takes_the_rows_it_wrote(tmp_path, capsys):
+    # the P3 row passes every resume check, so only 2K2 is searched again
+    path = tmp_path / "t1.jsonl"
+    path.write_text(_p3_row())
+    assert main(["verify", "--theorem", "t1", "--q-max", "2", "--json", str(path),
+                 "--resume"]) == EXIT_OK
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [row["graph"]["name"] for row in rows[:-1]] == ["P3", "2K2"]
+    assert rows[-1]["summary"]["graphs"] == 2
 
 
 @pytest.mark.parametrize("first,second,message", [
