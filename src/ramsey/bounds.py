@@ -9,6 +9,8 @@ below it), so equality cases are classified, not just bounded.
 
 from __future__ import annotations
 
+import json
+import math
 import time
 from typing import Callable, NamedTuple, Optional
 
@@ -49,12 +51,13 @@ class BoundReport(NamedTuple):
         }
 
     @classmethod
-    def from_json(cls, row: dict) -> "BoundReport":
-        """Inverse of to_json (runtime as rounded there)."""
-        return cls(
-            theorem=row["theorem"], g6=row["graph"]["g6"], name=row["graph"]["name"],
-            p=row["p"], q=row["q"], k=row["k"], exact=row["exact"], bound=row["bound"],
-            slack=row["slack"], equality=row["equality"], runtime=row["runtime"])
+    def of(cls, theorem: str, g: Graph, k: int, exact: int, runtime: float) -> "BoundReport":
+        """The row a sweep of theorem at k writes for g, whose exact value
+        r(K_{2,k}, g) took runtime seconds."""
+        bound = THEOREMS[theorem].bound(g.n, g.q, k)
+        return cls(theorem=theorem, g6=graph6_encode(g), name=describe(g), p=g.n, q=g.q, k=k,
+                   exact=exact, bound=bound, slack=bound - exact, equality=bound == exact,
+                   runtime=runtime)
 
 
 class SweepResult:
@@ -161,17 +164,46 @@ def sweep_params(theorem: str, q_max: Optional[int] = None, k: Optional[int] = N
     return theorem, row, q_max, k, biclique(2, k)
 
 
+def _resumed_report(theorem: str, g: Optional[Graph], k: int, row: dict) -> BoundReport:
+    """The report of row if it is the row a sweep writes for g, given the
+    row's exact and runtime; else ValueError says why, naming the first
+    field that differs.  g is None when the row is not one of the sweep's."""
+    exact, runtime = row.get("exact"), row.get("runtime")
+    if g is None:
+        raise ValueError("not a graph of this sweep")
+    if type(exact) is not int:  # bool is an int subclass
+        raise ValueError(f"exact is {json.dumps(exact)}, not an integer")
+    if not (type(runtime) is float and 0 <= runtime < math.inf):
+        raise ValueError(f"runtime is {json.dumps(runtime)}, not a number of seconds")
+    report = BoundReport.of(theorem, g, k, exact, runtime)
+    want = report.to_json()
+    if row.keys() != want.keys():
+        raise ValueError(f"fields are {sorted(row)}, the sweep writes {sorted(want)}")
+    for field in want:
+        # as JSON text, so true is not 1 and 0 is not false
+        have, should = (json.dumps(r[field], sort_keys=True) for r in (row, want))
+        if have != should:
+            raise ValueError(f"{field} is {have}, the sweep writes {should}")
+    return report
+
+
 def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
           budget: Optional[float] = None, jobs: int = 1,
           on_report: Optional[Callable[[BoundReport], None]] = None,
-          skip: Optional[set] = None) -> SweepResult:
+          resumed: Optional[dict] = None) -> SweepResult:
     """Check one bound over every enumerated graph in its hypothesis.
 
-    Reports stream through on_report as they finish; skip (canonical graph6
-    keys) resumes a partial run.  A slack < 0 raises SweepViolationError
-    naming the counterexample.  A graph that runs out of budget, or whose
-    exact value passes MAX_VERTICES, is recorded in .incomplete with its
-    reason instead of aborting the sweep.
+    Reports stream through on_report as they finish.  A slack < 0 raises
+    SweepViolationError naming the counterexample.  A graph that runs out
+    of budget, or whose exact value passes MAX_VERTICES, is recorded in
+    .incomplete with its reason instead of aborting the sweep.
+
+    resumed maps graph6 keys to the JSON rows an earlier run wrote.  Before
+    any search, each key must be one of this sweep's graphs, and its row
+    must equal, as JSON, the row BoundReport.of rebuilds from that graph, k
+    and the row's exact and runtime; else ValueError names the first field
+    that differs.  Accepted rows join .reports in enumeration order, with
+    no search and no on_report call.
 
     Each graph's Ramsey number is one scan over n, up to bound + 2 or
     MAX_VERTICES, whichever is less, and the budget, in seconds, is one
@@ -182,39 +214,40 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
     structure, with no search, helper or budget (arrowing.matching_arrows).
     """
     theorem, row, q_max, k, F = sweep_params(theorem, q_max, k, jobs)
+    graphs = {graph6_encode(g): g for q in range(row.q_min, q_max + 1)
+              for g in isolate_free_graphs(q) if row.domain(g)}
+    done = {}
+    for g6, line in (resumed or {}).items():
+        try:
+            done[g6] = _resumed_report(theorem, graphs.get(g6), k, line)
+        except ValueError as e:
+            raise ValueError(f"resumed row {g6!r}: {e}") from None
     result = SweepResult(theorem)
-    for q in range(row.q_min, q_max + 1):
-        for g in isolate_free_graphs(q):
-            if not row.domain(g):
-                continue
-            g6 = graph6_encode(g)
-            if skip and g6 in skip:
-                continue
-            p = g.n
-            bound = row.bound(p, q, k)
-            n_max = min(bound + 2, MAX_VERTICES)
-            t0 = time.perf_counter()
-            try:
-                exact = ramsey_number(F, g, n_max=n_max, budget=budget, jobs=jobs)
-            except BudgetExceededError:
-                result.incomplete.append((g6, "ran out of budget"))
-                continue
-            except SearchCapError:
-                if n_max < MAX_VERTICES:  # exact > bound + 2
-                    raise SweepViolationError(
-                        f"{theorem} fails on {describe(g)} ({g6}): "
-                        f"exact > {n_max} > bound {bound}") from None
-                result.incomplete.append((g6, f"have r above the {MAX_VERTICES}-vertex cap"))
-                continue
-            report = BoundReport(
-                theorem=theorem, g6=g6, name=describe(g), p=p, q=q, k=k, exact=exact,
-                bound=bound, slack=bound - exact, equality=bound == exact,
-                runtime=time.perf_counter() - t0)
-            result.reports.append(report)
-            if on_report:
-                on_report(report)
-            if report.slack < 0:
+    for g6, g in graphs.items():
+        if g6 in done:
+            result.reports.append(done[g6])
+            continue
+        bound = row.bound(g.n, g.q, k)
+        n_max = min(bound + 2, MAX_VERTICES)
+        t0 = time.perf_counter()
+        try:
+            exact = ramsey_number(F, g, n_max=n_max, budget=budget, jobs=jobs)
+        except BudgetExceededError:
+            result.incomplete.append((g6, "ran out of budget"))
+            continue
+        except SearchCapError:
+            if n_max < MAX_VERTICES:  # exact > bound + 2
                 raise SweepViolationError(
-                    f"{theorem} fails on {report.name} ({g6}): "
-                    f"exact {exact} > bound {bound}")
+                    f"{theorem} fails on {describe(g)} ({g6}): "
+                    f"exact > {n_max} > bound {bound}") from None
+            result.incomplete.append((g6, f"have r above the {MAX_VERTICES}-vertex cap"))
+            continue
+        report = BoundReport.of(theorem, g, k, exact, time.perf_counter() - t0)
+        result.reports.append(report)
+        if on_report:
+            on_report(report)
+        if report.slack < 0:
+            raise SweepViolationError(
+                f"{theorem} fails on {report.name} ({g6}): "
+                f"exact {exact} > bound {bound}")
     return result

@@ -17,6 +17,11 @@ decided by structure, from the edge-maximal mK2-free graphs: no search, no
 helper, and --budget does not apply.  Its witness is the first coloring of
 that walk, not the search's lex-greatest, and the same for any --jobs.
 The arrows command always searches.
+
+verify --resume continues the sweep in its --json file.  Each line must be
+one whole JSON object, and sweep rebuilds each row from its graph, k, exact
+and runtime and refuses a row it would not write: exit 2 before any search,
+with the file left as it was.
 """
 
 from __future__ import annotations
@@ -38,17 +43,10 @@ from ramsey.arrowing import (
     ramsey_number_with_witness,
     verify_coloring,
 )
-from ramsey.bounds import THEOREMS, BoundReport, SweepViolationError, sweep, sweep_params
+from ramsey.bounds import THEOREMS, SweepViolationError, sweep, sweep_params
 from ramsey.enumeration import EnumFilter, enumerate_graphs
-from ramsey.families import NameParseError, describe, graph_from_name
-from ramsey.graphs import (
-    MAX_VERTICES,
-    GraphError,
-    canonical_form,
-    embeds,
-    graph6_decode,
-    graph6_encode,
-)
+from ramsey.families import NameParseError, graph_from_name
+from ramsey.graphs import MAX_VERTICES, GraphError, embeds, graph6_encode
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -109,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="k of K_{2,k} (l31/l32/t3)")
     p.add_argument("--json", metavar="FILE", default=None, help="also write JSON lines here")
     p.add_argument("--resume", action="store_true",
-                   help="skip graphs already present in the --json file")
+                   help="continue the sweep in the --json file: each row there is rebuilt "
+                        "and must equal it, and only the graphs without a row are searched")
     add_common(p)
 
     p = sub.add_parser("enumerate", help="list non-isomorphic graphs with q edges")
@@ -155,74 +154,41 @@ def _cmd_arrows(args) -> int:
     return EXIT_OK
 
 
-def _resumed_row_fault(report: BoundReport) -> str | None:
-    """Why the sweep could not have written report, or None if it could.
+def _resumed_rows(path: str, theorem: str, k: int) -> dict[str, dict]:
+    """The rows of earlier runs of the same sweep in a --json file, by graph6.
 
-    Its exact value is taken on trust; everything that follows from its
-    g6 and k, and from exact, must be what sweep computes.
+    A line that is not one whole JSON object, newline included, is refused,
+    so a row cut by a killed run is not glued onto the next one.  Each row
+    names its theorem and k, so a file cut before its footer still cannot
+    resume another sweep.  sweep checks each row's fields.
     """
-    try:
-        g = graph6_decode(report.g6)
-    except GraphError as e:
-        return f"g6 does not decode ({e})"
-    spec = THEOREMS[report.theorem]
-    if graph6_encode(canonical_form(g)) != report.g6:
-        return "g6 is not a canonical form"
-    if (g.n, g.q) != (report.p, report.q):
-        return f"g6 has p={g.n} and q={g.q}, the row p={report.p} and q={report.q}"
-    if min(g.degrees(), default=0) == 0 or g.q < spec.q_min or not spec.domain(g):
-        return f"graph is outside the {report.theorem} domain"
-    if report.name != describe(g):
-        return f"name is not {describe(g)!r}"
-    bound = spec.bound(g.n, g.q, report.k)
-    if report.bound != bound:
-        return f"bound is not {bound}"
-    if report.slack != bound - report.exact or report.equality is not (report.slack == 0):
-        return "slack or equality does not follow from exact"
-    return None
-
-
-def _resumed_reports(path: str, theorem: str, k: int) -> list[BoundReport]:
-    """The report rows of earlier runs of the same sweep in a --json file.
-
-    Every row names its theorem and k, so a file cut before its footer
-    still cannot resume a different sweep.  A row the sweep could not have
-    written (_resumed_row_fault), or a second row for one graph, is
-    refused.
-    """
-    reports = []
-    seen = set()
+    rows = {}
     with open(path) as fp:
-        for line in fp:
+        for number, line in enumerate(fp, 1):
+            where = f"{path} line {number}"
             try:
-                row = json.loads(line)
+                row = json.loads(line) if line.endswith("\n") else None
             except json.JSONDecodeError:
-                continue
+                row = None
+            if not isinstance(row, dict):
+                raise ValueError(f"{where} is not one whole JSON object")
             try:
                 if "summary" in row:
-                    found, report = row["summary"]["theorem"], None
-                elif "graph" in row:
-                    report = BoundReport.from_json(row)
-                    found = report.theorem
+                    found, found_k, g6 = row["summary"]["theorem"], k, None
                 else:
-                    continue
-            except (KeyError, TypeError) as e:
-                raise ValueError(f"bad report line in {path}: {line.strip()}") from e
+                    found, found_k, g6 = row["theorem"], row["k"], row["graph"]["g6"]
+                again = g6 in rows
+            except (KeyError, TypeError) as e:  # a field missing, or not hashable
+                raise ValueError(f"bad report line, {where}: {line.strip()}") from e
             if found != theorem:
                 raise ValueError(f"{path} holds a {found} sweep, not {theorem}")
-            if report is not None:
-                if report.k != k:
-                    raise ValueError(f"{path} holds a k={report.k} sweep, not k={k}")
-                try:
-                    fault = ("graph has an earlier row" if report.g6 in seen
-                             else _resumed_row_fault(report))
-                except (AttributeError, TypeError) as e:  # a field of the wrong type
-                    raise ValueError(f"bad report line in {path}: {line.strip()}") from e
-                if fault is not None:
-                    raise ValueError(f"bad resumed row {report.g6!r} in {path}: {fault}")
-                seen.add(report.g6)
-                reports.append(report)
-    return reports
+            if found_k != k:
+                raise ValueError(f"{path} holds a k={found_k} sweep, not k={k}")
+            if again:
+                raise ValueError(f"{where}: graph {g6!r} has an earlier row")
+            if g6 is not None:
+                rows[g6] = row
+    return rows
 
 
 def _cmd_verify(args) -> int:
@@ -230,10 +196,9 @@ def _cmd_verify(args) -> int:
     k = sweep_params(args.theorem, args.q_max, args.k, args.jobs)[3]
     if args.resume and not args.json:
         raise ValueError("--resume needs --json FILE, the file to resume from")
-    prior = []
+    resumed = {}
     if args.resume and os.path.exists(args.json):
-        prior = _resumed_reports(args.json, args.theorem, k)
-    skip = {r.g6 for r in prior}
+        resumed = _resumed_rows(args.json, args.theorem, k)
     sink = open(args.json, "a" if args.resume else "w") if args.json else None
 
     def emit(report):
@@ -245,16 +210,13 @@ def _cmd_verify(args) -> int:
 
     try:
         result = sweep(args.theorem, q_max=args.q_max, k=k,
-                       budget=args.budget, jobs=args.jobs, on_report=emit,
-                       skip=skip or None)
+                       budget=args.budget, jobs=args.jobs, on_report=emit, resumed=resumed)
     except SweepViolationError as e:
         print(f"VIOLATION: {e}", file=sys.stderr)
         return EXIT_VIOLATION
     finally:
         if sink:
             sink.close()
-    # the footer summarises every row in the file, resumed ones included
-    result.reports[:0] = prior
     footer = json.dumps(result.summary_json())
     print(footer)
     if args.json:

@@ -3,7 +3,8 @@ import os
 import pytest
 
 from ramsey.arrowing import ramsey_number
-from ramsey.bounds import THEOREMS, SweepViolationError, sweep, sweep_params
+from ramsey import arrowing
+from ramsey.bounds import THEOREMS, BoundReport, SweepViolationError, sweep, sweep_params
 from ramsey.families import biclique, cycle, path
 from ramsey.graphs import (canonical_form, disjoint_union, graph6_decode, graph6_encode,
                            is_connected)
@@ -68,11 +69,18 @@ def test_sweep_whose_bound_passes_the_vertex_cap():
     assert rows(result) == [("P3", 17, 31), ("2K2", 18, 31)]
 
 
+def _p3_row(theorem, k, exact):
+    """{graph6: row} of P3 as a sweep writes it, to resume from without
+    searching P3."""
+    return {"BW": BoundReport.of(theorem, graph6_decode("BW"), k, exact, 0.0).to_json()}
+
+
 def test_sweep_records_a_value_past_the_vertex_cap():
     # r(K2,30, 2K2) = k + 3 = 33 passes MAX_VERTICES; the row is kept as
-    # incomplete, with its own reason, and the sweep goes on
-    result = sweep("l32", k=30, q_max=2, skip={"BW"})
-    assert result.reports == []
+    # incomplete, with its own reason, and the sweep goes on.  P3's row is
+    # resumed with r(K2,k, P3) = k + 2, which search gives for k = 2..8
+    result = sweep("l32", k=30, q_max=2, resumed=_p3_row("l32", 30, 32))
+    assert [r.to_json() for r in result.reports] == list(_p3_row("l32", 30, 32).values())
     assert result.incomplete == [("CK", "have r above the 32-vertex cap")]
     assert not result.ok
 
@@ -82,7 +90,7 @@ def test_sweep_reports_a_scan_past_the_bound_as_a_violation(monkeypatch):
     # which already breaks the bound
     monkeypatch.setitem(THEOREMS, "t1", THEOREMS["t1"]._replace(bound=lambda p, q, k: 2))
     with pytest.raises(SweepViolationError, match=r"t1 fails on 2K2 \(CK\): exact > 4 > bound 2"):
-        sweep("t1", q_max=2, skip={"BW"})
+        sweep("t1", q_max=2, resumed=_p3_row("t1", 2, 4))
 
 
 @pytest.mark.parametrize("theorem,k", [("t1", 3), ("t2", 1), ("l31", 1), ("l32", 31),
@@ -145,3 +153,19 @@ def test_sweep_refuses_jobs_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
     with pytest.raises(ValueError, match="os.fork"):
         sweep("t1", q_max=3, jobs=2)
+
+
+def test_sweep_resumed_from_every_row_searches_nothing(monkeypatch):
+    # a complete run's rows re-checked offline: each is rebuilt from its
+    # graph and exact value, so no search runs and the summary is the same
+    full = sweep("t1", q_max=4)
+    rows = {r.g6: r.to_json() for r in full.reports}
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(arrowing, "_run_search", no_search)
+    monkeypatch.setattr(arrowing, "matching_arrows", no_search)
+    resumed = sweep("t1", q_max=4, resumed=rows, on_report=no_search)
+    assert resumed.summary_json() == full.summary_json()
+    assert [r.to_json() for r in resumed.reports] == list(rows.values())

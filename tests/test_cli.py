@@ -180,18 +180,31 @@ def _p3_row(**changes) -> str:
     ('{"graph": {"g6": "BW"}}\n', "bad report line"),
     ('{"summary": {"graphs": 0}}\n', "bad report line"),
     ('{"summary": {"theorem": "t2", "graphs": 0}}\n', "holds a t2 sweep"),
+    # lines that are not one whole JSON object
+    (_p3_row()[:20], "line 1 is not one whole JSON object"),
+    (_p3_row().rstrip("\n"), "line 1 is not one whole JSON object"),
+    (_p3_row() + "[]\n", "line 2 is not one whole JSON object"),
     # rows the sweep could not have written
-    (_p3_row(exact=99), "slack or equality does not follow from exact"),
-    (_p3_row(graph={"g6": "garbage!", "name": "P3"}), "g6 does not decode"),
-    (_p3_row() + _p3_row(), "graph has an earlier row"),
-    (_p3_row(graph={"g6": "Bo", "name": "P3"}), "not a canonical form"),
-    (_p3_row(p=4), "the row p=4 and q=2"),
+    (_p3_row(exact=99), "'BW': slack is 1, the sweep writes -94"),
+    (_p3_row(graph={"g6": "garbage!", "name": "P3"}), "'garbage!': not a graph of this sweep"),
+    (_p3_row() + _p3_row(), "line 2: graph 'BW' has an earlier row"),
+    (_p3_row(graph={"g6": "Bo", "name": "P3"}), "'Bo': not a graph of this sweep"),
+    (_p3_row(p=4), "'BW': p is 4, the sweep writes 3"),
     (_p3_row(graph={"g6": "A_", "name": "K2"}, p=2, q=1, bound=3, slack=0, exact=3,
-             equality=True), "outside the t1 domain"),
-    (_p3_row(graph={"g6": "BW", "name": "K1,2"}), "name is not 'P3'"),
-    (_p3_row(bound=6, slack=2), "bound is not 5"),
-    (_p3_row(equality=True), "slack or equality does not follow from exact"),
-    (_p3_row(exact="4"), "bad report line"),
+             equality=True), "'A_': not a graph of this sweep"),
+    (_p3_row(graph={"g6": "BW", "name": "K1,2"}),
+     '\'BW\': graph is {"g6": "BW", "name": "K1,2"}, the sweep writes {"g6": "BW", "name": "P3"}'),
+    (_p3_row(bound=6, slack=2), "'BW': bound is 6, the sweep writes 5"),
+    (_p3_row(equality=True), "'BW': equality is true, the sweep writes false"),
+    (_p3_row(exact="4"), "'BW': exact is \"4\", not an integer"),
+    # JSON types: true is not 1, 0 is not false, "0" is not 0.0
+    (_p3_row(exact=True), "'BW': exact is true, not an integer"),
+    (_p3_row(equality=0), "'BW': equality is 0, the sweep writes false"),
+    (_p3_row(runtime="0"), "'BW': runtime is \"0\", not a number of seconds"),
+    (_p3_row(extra=1), "'BW': fields are ["),
+    # K3 has q = 3, past this sweep's --q-max 2
+    (_p3_row(graph={"g6": "Bw", "name": "K3"}, q=3, exact=7, bound=7, slack=0, equality=True),
+     "'Bw': not a graph of this sweep"),
 ])
 def test_resume_rejects_a_foreign_file(tmp_path, capsys, text, message):
     path = tmp_path / "t1.jsonl"
@@ -213,6 +226,27 @@ def test_resume_takes_the_rows_it_wrote(tmp_path, capsys):
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert [row["graph"]["name"] for row in rows[:-1]] == ["P3", "2K2"]
     assert rows[-1]["summary"]["graphs"] == 2
+
+
+def test_resume_refuses_a_cut_line_then_finishes_without_it(tmp_path, capsys):
+    # a run killed mid-row leaves a last line with no newline; resuming
+    # must not glue the next row onto it
+    def rows(path):
+        return [{k: v for k, v in json.loads(line).items() if k != "runtime"}
+                for line in path.read_text().splitlines()]
+
+    verify = ["verify", "--theorem", "t1", "--q-max", "3", "--json"]
+    full, path = tmp_path / "full.jsonl", tmp_path / "cut.jsonl"
+    assert main(verify + [str(full)]) == EXIT_OK
+    lines = full.read_bytes().splitlines(keepends=True)
+    cut = b"".join(lines[:3]) + lines[3][:20]
+    path.write_bytes(cut)
+    assert main(verify + [str(path), "--resume"]) == EXIT_USAGE
+    assert "line 4 is not one whole JSON object" in capsys.readouterr().err
+    assert path.read_bytes() == cut
+    path.write_bytes(b"".join(lines[:3]))
+    assert main(verify + [str(path), "--resume"]) == EXIT_OK
+    assert rows(path) == rows(full)
 
 
 @pytest.mark.parametrize("first,second,message", [
