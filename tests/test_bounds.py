@@ -2,8 +2,8 @@ import os
 
 import pytest
 
-from ramsey.arrowing import ramsey_number
 from ramsey import arrowing
+from ramsey.arrowing import ramsey_number
 from ramsey.bounds import THEOREMS, BoundReport, SweepViolationError, sweep, sweep_params
 from ramsey.families import biclique, cycle, path
 from ramsey.graphs import (canonical_form, disjoint_union, graph6_decode, graph6_encode,
