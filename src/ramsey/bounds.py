@@ -69,10 +69,6 @@ class SweepResult:
         self.incomplete: list[tuple[str, str]] = []  # (g6, reason)
 
     @property
-    def violations(self) -> list[BoundReport]:
-        return [r for r in self.reports if r.slack < 0]
-
-    @property
     def equality_set(self) -> list[str]:
         return [r.name for r in self.reports if r.equality]
 
@@ -82,14 +78,14 @@ class SweepResult:
 
     @property
     def ok(self) -> bool:
-        return not self.violations and not self.incomplete
+        return not self.incomplete
 
     def summary_json(self) -> dict:
         return {
             "summary": {
                 "theorem": self.theorem,
                 "graphs": len(self.reports),
-                "violations": [r.name for r in self.violations],
+                "violations": [],  # a violation raises SweepViolationError
                 "incomplete": [g6 for g6, _ in self.incomplete],
                 "max_slack": self.max_slack,
                 "equality": self.equality_set,
@@ -193,17 +189,17 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
           resumed: Optional[dict] = None) -> SweepResult:
     """Check one bound over every enumerated graph in its hypothesis.
 
-    Reports stream through on_report as they finish.  A slack < 0 raises
-    SweepViolationError naming the counterexample.  A graph that runs out
-    of budget, or whose exact value passes MAX_VERTICES, is recorded in
-    .incomplete with its reason instead of aborting the sweep.
+    Searched rows stream through on_report.  A row with slack < 0,
+    searched or resumed, raises SweepViolationError naming the graph.  A
+    graph that runs out of budget, or whose exact value passes
+    MAX_VERTICES, joins .incomplete with its reason, and the sweep goes on.
 
     resumed maps graph6 keys to the JSON rows an earlier run wrote.  Before
     any search, each key must be one of this sweep's graphs, and its row
     must equal, as JSON, the row BoundReport.of rebuilds from that graph, k
     and the row's exact and runtime; else ValueError names the first field
-    that differs.  Accepted rows join .reports in enumeration order, with
-    no search and no on_report call.
+    that differs.  Accepted rows meet the slack check first, then join
+    .reports in enumeration order, with no search and no on_report call.
 
     Each graph's Ramsey number is one scan over n, up to bound + 2 or
     MAX_VERTICES, whichever is less, and the budget, in seconds, is one
@@ -223,31 +219,33 @@ def sweep(theorem: str, q_max: Optional[int] = None, k: Optional[int] = None,
         except ValueError as e:
             raise ValueError(f"resumed row {g6!r}: {e}") from None
     result = SweepResult(theorem)
-    for g6, g in graphs.items():
-        if g6 in done:
-            result.reports.append(done[g6])
-            continue
-        bound = row.bound(g.n, g.q, k)
-        n_max = min(bound + 2, MAX_VERTICES)
-        t0 = time.perf_counter()
-        try:
-            exact = ramsey_number(F, g, n_max=n_max, budget=budget, jobs=jobs)
-        except BudgetExceededError:
-            result.incomplete.append((g6, "ran out of budget"))
-            continue
-        except SearchCapError:
-            if n_max < MAX_VERTICES:  # exact > bound + 2
-                raise SweepViolationError(
-                    f"{theorem} fails on {describe(g)} ({g6}): "
-                    f"exact > {n_max} > bound {bound}") from None
-            result.incomplete.append((g6, f"have r above the {MAX_VERTICES}-vertex cap"))
-            continue
-        report = BoundReport.of(theorem, g, k, exact, time.perf_counter() - t0)
+    # resumed rows first, so a resumed counterexample stops the sweep before any search
+    for g6 in sorted(graphs, key=lambda g6: g6 not in done):
+        g, report = graphs[g6], done.get(g6)
+        if report is None:
+            bound = row.bound(g.n, g.q, k)
+            n_max = min(bound + 2, MAX_VERTICES)
+            t0 = time.perf_counter()
+            try:
+                exact = ramsey_number(F, g, n_max=n_max, budget=budget, jobs=jobs)
+            except BudgetExceededError:
+                result.incomplete.append((g6, "ran out of budget"))
+                continue
+            except SearchCapError:
+                if n_max < MAX_VERTICES:  # exact > bound + 2
+                    raise SweepViolationError(
+                        f"{theorem} fails on {describe(g)} ({g6}): "
+                        f"exact > {n_max} > bound {bound}") from None
+                result.incomplete.append((g6, f"have r above the {MAX_VERTICES}-vertex cap"))
+                continue
+            report = BoundReport.of(theorem, g, k, exact, time.perf_counter() - t0)
+            if on_report:
+                on_report(report)
         result.reports.append(report)
-        if on_report:
-            on_report(report)
         if report.slack < 0:
             raise SweepViolationError(
                 f"{theorem} fails on {report.name} ({g6}): "
-                f"exact {exact} > bound {bound}")
+                f"exact {report.exact} > bound {report.bound}")
+    order = {g6: i for i, g6 in enumerate(graphs)}
+    result.reports.sort(key=lambda r: order[r.g6])
     return result

@@ -122,9 +122,10 @@ class TestFindGoodColoring:
             arrows(9, C4, graph_from_name("4K2"), budget=1e-9)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_deadline_across_pool_tasks(self, jobs):
+    def test_one_deadline_across_subtrees_and_helpers(self, jobs):
         # the split and every subtree share the search's deadline, so
-        # neither a subtree nor a worker gets the whole time budget again
+        # neither a subtree nor a forked helper gets the whole time budget
+        # again
         budget = 0.5
         t0 = time.monotonic()
         with pytest.raises(BudgetExceededError) as exc:
@@ -152,7 +153,7 @@ class TestFindGoodColoring:
         assert arrows(7, C4, K3, jobs=2).arrows
 
 
-class TestPoolLifetime:
+class TestHelperLifetime:
     """The helpers a search forks: jobs - 1 per searched order n, each
     killed and reaped before the order's answer is returned or its overrun
     raised, so none is left to run on into the next order or scan."""

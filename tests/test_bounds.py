@@ -13,8 +13,7 @@ from ramsey.graphs import (canonical_form, disjoint_union, graph6_decode, graph6
 def test_t1_holds_with_the_papers_equality_cases():
     # r(C4, G) <= 2q + 1, with equality exactly at qK2 and K3 (q <= 4)
     result = sweep("t1", q_max=4)
-    assert not result.violations
-    assert not result.incomplete
+    assert result.ok
     assert set(result.equality_set) == {"2K2", "3K2", "4K2", "K3"}
 
 
@@ -86,11 +85,30 @@ def test_sweep_records_a_value_past_the_vertex_cap():
 
 
 def test_sweep_reports_a_scan_past_the_bound_as_a_violation(monkeypatch):
-    # with the bound set to 2, the scan for 2K2 stops at 4 < r(C4, 2K2) = 5,
-    # which already breaks the bound
-    monkeypatch.setitem(THEOREMS, "t1", THEOREMS["t1"]._replace(bound=lambda p, q, k: 2))
+    # with 2K2's bound set to 2, its scan stops at 4 < r(C4, 2K2) = 5,
+    # which already breaks the bound; P3 (p = 3) keeps 2q + 1, so its
+    # resumed row holds
+    t1 = THEOREMS["t1"]
+    monkeypatch.setitem(THEOREMS, "t1", t1._replace(
+        bound=lambda p, q, k: 2 if p == 4 else t1.bound(p, q, k)))
     with pytest.raises(SweepViolationError, match=r"t1 fails on 2K2 \(CK\): exact > 4 > bound 2"):
         sweep("t1", q_max=2, resumed=_p3_row("t1", 2, 4))
+
+
+@pytest.mark.parametrize("g6,name", [("BW", "P3"), ("CK", "2K2")])
+def test_sweep_stops_at_a_resumed_violation_before_any_search(monkeypatch, g6, name):
+    # exact 99 against the bound 2q + 1 = 5 leaves slack -94; the row is
+    # refused before any search, also when it is 2K2's and P3 has no row
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(arrowing, "_run_search", no_search)
+    monkeypatch.setattr(arrowing, "matching_arrows", no_search)
+    row = BoundReport.of("t1", graph6_decode(g6), 2, 99, 0.0)
+    assert row.slack == -94
+    message = rf"t1 fails on {name} \({g6}\): exact 99 > bound 5"
+    with pytest.raises(SweepViolationError, match=message):
+        sweep("t1", q_max=2, resumed={g6: row.to_json()})
 
 
 @pytest.mark.parametrize("theorem,k", [("t1", 3), ("t2", 1), ("l31", 1), ("l32", 31),

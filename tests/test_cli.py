@@ -152,6 +152,8 @@ def test_resume_footer_counts_every_row(tmp_path, capsys):
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     names = [row["graph"]["name"] for row in rows if "graph" in row]
     assert sorted(names) == sorted(["P3", "2K2", "K3", "K1,3", "P4", "K2 u P3", "3K2"])
+    # the q <= 2 run's footer gave way to the new rows
+    assert sum("summary" in row for row in rows) == 1
     footer = rows[-1]["summary"]
     assert footer["graphs"] == 7
     assert footer["equality"] == ["2K2", "K3", "3K2"]
@@ -177,7 +179,7 @@ def _p3_row(**changes) -> str:
 
 
 @pytest.mark.parametrize("text,message", [
-    ('{"graph": {"g6": "BW"}}\n', "bad report line"),
+    ('{"graph": {"g6": "BW"}}\n', "'BW': exact is null, not an integer"),
     ('{"summary": {"graphs": 0}}\n', "bad report line"),
     ('{"summary": {"theorem": "t2", "graphs": 0}}\n', "holds a t2 sweep"),
     # lines that are not one whole JSON object
@@ -217,15 +219,39 @@ def test_resume_rejects_a_foreign_file(tmp_path, capsys, text, message):
     assert path.read_text() == text
 
 
-def test_resume_takes_the_rows_it_wrote(tmp_path, capsys):
+def test_resume_takes_the_rows_it_wrote(tmp_path, capsys, monkeypatch):
     # the P3 row passes every resume check, so only 2K2 is searched again
     path = tmp_path / "t1.jsonl"
     path.write_text(_p3_row())
-    assert main(["verify", "--theorem", "t1", "--q-max", "2", "--json", str(path),
-                 "--resume"]) == EXIT_OK
+    verify = ["verify", "--theorem", "t1", "--q-max", "2", "--json", str(path), "--resume"]
+    assert main(verify) == EXIT_OK
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert [row["graph"]["name"] for row in rows[:-1]] == ["P3", "2K2"]
     assert rows[-1]["summary"]["graphs"] == 2
+    # the file is complete now: resuming it searches nothing, and its
+    # footer is replaced by the same one
+    complete = path.read_bytes()
+    monkeypatch.setattr(arrowing, "_run_search", None)
+    monkeypatch.setattr(arrowing, "matching_arrows", None)
+    assert main(verify) == EXIT_OK
+    assert path.read_bytes() == complete
+
+
+def test_resume_stops_at_a_violating_row(tmp_path, capsys, monkeypatch):
+    # a P3 row with exact 99 and the slack 5 - 99 = -94 that follows is
+    # one the sweep writes, and a counterexample: exit 1 before 2K2 is
+    # searched, with the file untouched
+    monkeypatch.setattr(arrowing, "_run_search", None)
+    monkeypatch.setattr(arrowing, "matching_arrows", None)
+    path = tmp_path / "t1.jsonl"
+    text = _p3_row(exact=99, slack=-94)
+    path.write_text(text)
+    assert main(["verify", "--theorem", "t1", "--q-max", "2", "--json", str(path),
+                 "--resume"]) == EXIT_VIOLATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "VIOLATION: t1 fails on P3 (BW): exact 99 > bound 5\n"
+    assert path.read_text() == text
 
 
 def test_resume_refuses_a_cut_line_then_finishes_without_it(tmp_path, capsys):
@@ -250,9 +276,10 @@ def test_resume_refuses_a_cut_line_then_finishes_without_it(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("first,second,message", [
-    (["--theorem", "t1", "--q-max", "2"], ["--theorem", "t3", "--q-max", "2"], "holds a t1 sweep"),
+    (["--theorem", "t1", "--q-max", "2"], ["--theorem", "t3", "--q-max", "2"],
+     "'BW': theorem is \"t1\", the sweep writes \"t3\""),
     (["--theorem", "t3", "--q-max", "1"], ["--theorem", "t3", "--q-max", "1", "--k", "4"],
-     "holds a k=3 sweep"),
+     "'A_': k is 3, the sweep writes 4"),
 ])
 def test_resume_rejects_a_cut_file_of_another_sweep(tmp_path, capsys, first, second, message):
     # a run cut before its footer leaves only report rows, which must name
@@ -303,8 +330,8 @@ def test_budget_exceeded_exits_3(capsys):
 
 def test_budget_does_not_depend_on_jobs(capsys):
     # a budget too small for any search leaves every searched class
-    # incomplete, with one worker or two; the matchings are decided by
-    # structure, with no budget
+    # incomplete, with no forked helper or one; the matchings are decided
+    # by structure, with no budget
     footers = []
     for jobs in ("1", "2"):
         code = main(["verify", "--theorem", "t1", "--q-max", "4", "--budget", "1e-9",
