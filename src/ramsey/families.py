@@ -1,24 +1,29 @@
 """Named graph families and the little text grammar the CLI uses for them.
 
-Grammar (whitespace-insensitive, family letters case-sensitive):
+Grammar (family letters case-sensitive; every number is decimal, in 1..32):
 
     NAME := TERM (("u" | "+") TERM)*
-    TERM := [m] BASE                      -- optional multiplier repeats the term
-    BASE := "P"n | "C"n | "K"n | "K"a","b | "B"k
-          | "paw" | "K1,3+e" | "T3" | "g6:"<graph6>
+    TERM := [m] BASE                      -- optional multiplier repeats the base
+    BASE := "P"n | "C"n | "B"n | "K"n | "K"a","b | "K1,3+e"
+          | "paw" | "T3" | "g6:"<graph6>
 
-"u" and "+" both mean disjoint union.  "K1,3+e" is lexed as a single token
-(the paw), so the trailing "+e" never collides with union "+".  A g6 literal
-runs to the next whitespace, "+" or end of input ("u" is a valid graph6
-byte, so after a g6 literal the word "u" must be set off by whitespace).
+Blanks may stand around a term or a separator and after a multiplier.  "u"
+and "+" both mean disjoint union, but a "u" before ":" is no separator.
+"K1,3+e" is the paw; its "+e" is read with the K term, so it never collides
+with union "+".  A g6 literal runs over the graph6 bytes "?".."~", so a "+",
+a blank or the end ends it; "u" is one of those bytes, so a "u" after a g6
+literal must be set off by a blank.
 
-graph_from_name reads a name straight into its Graph: each BASE is built as
-it is read, by path, cycle, complete, biclique or book, or as the constant
-PAW or T3, and a g6 literal is decoded once.  The terms are then joined by
-disjoint union.  describe goes the other way, from a Graph to a name.
+One error rule: a bad name raises NameParseError at the 0-based position of
+the fault.  A GraphError from a builder (path, cycle, complete, biclique,
+book) or from graph6_decode, as for C2 or B31, becomes a NameParseError at
+the position of its base.  describe goes from a Graph back to a name.
 """
 
 from __future__ import annotations
+
+import functools
+import re
 
 from ramsey.graphs import (
     Graph,
@@ -80,121 +85,77 @@ T3 = from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
 # parsing
 # ---------------------------------------------------------------------------
 
-_G6_OK = frozenset(chr(c) for c in range(63, 127))
+_TERM = re.compile(r"""
+    (?: (?P<mult>\d+) \s* )?
+    (?P<base>
+        g6: (?P<g6>[?-~]*)
+      | (?P<named>paw|T3)
+      | K (?P<a>\d+) , (?P<b>\d+) (?P<plus_e>\+e)?
+      | (?P<letter>[PCBK]) (?P<n>\d+)
+    )""", re.VERBOSE)
+_SEP = re.compile(r"\s* (?P<sep> \+ | u(?!:) )? \s*", re.VERBOSE)
+
+_NAMED = {"paw": PAW, "T3": T3}
+# a family letter with one number: what the number counts, and the builder
+_FAMILY = {
+    "P": ("path length", path),
+    "C": ("cycle length", cycle),
+    "B": ("book size", book),
+    "K": ("complete-graph order", complete),
+}
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
+def _number(m: re.Match, group: str, what: str) -> int:
+    """m's number in group, refused outside 1..MAX_VERTICES before a builder runs."""
+    try:
+        value = int(m[group])
+    except ValueError:  # more digits than int reads, so far past the cap
+        value = 0
+    if not 1 <= value <= MAX_VERTICES:
+        raise NameParseError(f"{what} must be in 1..{MAX_VERTICES}", m.start(group))
+    return value
 
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
 
-    def peek(self) -> str:
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def startswith(self, s: str) -> bool:
-        return self.text.startswith(s, self.i)
-
-    def take_int(self, what: str) -> int:
-        start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
-            self.i += 1
-        if self.i == start:
-            raise NameParseError(f"expected {what}", start)
-        value = int(self.text[start:self.i])
-        # every number in a name is at most the vertex cap; check before a
-        # builder lists the edges of, say, K100000
-        if not 1 <= value <= MAX_VERTICES:
-            raise NameParseError(f"{what} must be in 1..{MAX_VERTICES}", start)
-        return value
+def _base(m: re.Match) -> Graph:
+    if m["g6"] is not None:
+        return graph6_decode(m["g6"])
+    if m["named"]:
+        return _NAMED[m["named"]]
+    if m["letter"]:
+        what, build = _FAMILY[m["letter"]]
+        return build(_number(m, "n", what))
+    a, b = _number(m, "a", "part size"), _number(m, "b", "part size")
+    if m["plus_e"] and (a, b) != (1, 3):
+        raise GraphError(f"'+e' is only defined for K1,3, not K{a},{b}")
+    return PAW if m["plus_e"] else biclique(a, b)
 
 
 def graph_from_name(text: str) -> Graph:
     """The graph a name like "C4", "K2,3", "3K2", "2K2 u P3" or "g6:Bw"
     denotes."""
-    sc = _Scanner(text)
-    parts: list[Graph] = []
-    sc.skip_ws()
-    if not sc.peek():
+    i = len(text) - len(text.lstrip())
+    if i == len(text):
         raise NameParseError("empty graph name", 0)
+    parts: list[Graph] = []
     while True:
-        parts.extend(_parse_term(sc))
-        sc.skip_ws()
-        if not sc.peek():
+        m = _TERM.match(text, i)
+        if m is None:
+            raise NameParseError(f"expected a graph, found {text[i:]!r}", i)
+        mult = _number(m, "mult", "multiplier") if m["mult"] else 1
+        try:
+            parts += [_base(m)] * mult
+        except GraphError as e:
+            raise NameParseError(str(e), m.start("base")) from None
+        sep = _SEP.match(text, m.end())
+        i = sep.end()
+        if not sep["sep"]:
             break
-        if sc.peek() == "+":
-            sc.i += 1
-        elif sc.peek() == "u" and not sc.startswith("u:"):
-            sc.i += 1
-        else:
-            raise NameParseError(f"expected 'u' or '+' between terms, found {sc.peek()!r}", sc.i)
-        sc.skip_ws()
+    if i < len(text):
+        raise NameParseError(f"expected 'u' or '+' between terms, found {text[i]!r}", i)
     total = sum(p.n for p in parts)
     if total > MAX_VERTICES:
         raise NameParseError(f"name denotes {total} vertices, cap is {MAX_VERTICES}", 0)
-    g = parts[0]
-    for part in parts[1:]:
-        g = disjoint_union(g, part)
-    return g
-
-
-def _parse_term(sc: _Scanner) -> list[Graph]:
-    sc.skip_ws()
-    mult = sc.take_int("multiplier") if sc.peek().isdigit() else 1
-    return [_parse_base(sc)] * mult
-
-
-def _parse_base(sc: _Scanner) -> Graph:
-    sc.skip_ws()
-    start = sc.i
-    if sc.startswith("g6:"):
-        sc.i += 3
-        lit_start = sc.i
-        while sc.peek() and sc.peek() in _G6_OK and sc.peek() != "+" and not sc.peek().isspace():
-            sc.i += 1
-        literal = sc.text[lit_start:sc.i]
-        if not literal:
-            raise NameParseError("empty graph6 literal", lit_start)
-        try:
-            return graph6_decode(literal)
-        except GraphError as e:
-            raise NameParseError(f"bad graph6 literal: {e}", lit_start) from None
-    if sc.startswith("paw"):
-        sc.i += 3
-        return PAW
-    if sc.startswith("T3"):
-        sc.i += 2
-        return T3
-    ch = sc.peek()
-    if ch == "P":
-        sc.i += 1
-        return path(sc.take_int("path length"))
-    if ch == "C":
-        sc.i += 1
-        n = sc.take_int("cycle length")
-        if n < 3:
-            raise NameParseError(f"cycle C{n} needs n >= 3", start)
-        return cycle(n)
-    if ch == "B":
-        sc.i += 1
-        return book(sc.take_int("book size"))
-    if ch == "K":
-        sc.i += 1
-        a = sc.take_int("complete-graph order")
-        if sc.peek() == ",":
-            sc.i += 1
-            b = sc.take_int("second part size")
-            if sc.startswith("+e"):
-                if (a, b) != (1, 3):
-                    raise NameParseError("'+e' is only defined for K1,3", sc.i)
-                sc.i += 2
-                return PAW
-            return biclique(a, b)
-        return complete(a)
-    raise NameParseError(f"unknown family {ch!r}" if ch else "unexpected end of name", start)
+    return functools.reduce(disjoint_union, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from ramsey.arrowing import (
 from ramsey import arrowing
 from ramsey.families import graph_from_name
 from ramsey.enumeration import isolate_free_graphs
-from ramsey.graphs import Graph, complement, embeds, from_edges, lex_edges
+from ramsey.graphs import Graph, GraphError, complement, embeds, from_edges, lex_edges
 
 from brute import (
     brute_embeds,
@@ -566,6 +566,10 @@ class TestRamseyNumber:
         with pytest.raises(SearchCapError):
             ramsey_number(C4, K3, n_max=5)
 
+    def test_n_max_past_the_vertex_cap(self):
+        with pytest.raises(GraphError):
+            ramsey_number(C4, K3, n_max=33)
+
     def test_checks_built_once_per_scan(self, monkeypatch):
         # the anchored checks do not depend on n, so the scan over n = 6..8
         # builds one per colour, not one per colour and order
@@ -670,7 +674,7 @@ class TestWitnessFiles:
 
     @pytest.mark.parametrize("bad", [
         "", "n=5", "n=x\nred=", "n=3\nred=0-0", "n=3\nred=5-1", "n=3\nblue=0-1",
-        "n=33\nred=", "n=100000\nred=",
+        "n=33\nred=", "n=100000\nred=", "n=3\nred=0-x",
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -118,6 +118,11 @@ def test_sweep_rejects_k_outside_the_theorems_range(theorem, k):
         sweep_params(theorem, k=k)
 
 
+def test_sweep_rejects_an_unknown_theorem():
+    with pytest.raises(ValueError, match="unknown theorem 't9'"):
+        sweep("t9")
+
+
 def test_cited_relations_over_the_t1_rows():
     # three inequalities from other authors, on exact values r(C4, G):
     # - the chain r(C4, Pn) <= r(C4, Cn) <= n + 2 for n = 4, 5 (n = 3 is

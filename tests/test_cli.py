@@ -87,6 +87,36 @@ def test_ramsey_matching_on_either_side(tmp_path, capsys, monkeypatch, red, blue
     assert main(["witness-check", "--file", str(path), "--red", red, "--blue", blue]) == EXIT_OK
 
 
+def test_ramsey_gives_the_position_of_an_oversize_part(capsys):
+    # B31 has 33 vertices: the builder refuses it, and the error names its base
+    assert main(["ramsey", "--red", "B31", "--blue", "K3"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "(at position 0)" in err
+
+
+def test_ramsey_names_the_default_witness_file_after_the_patterns(tmp_path, monkeypatch, capsys):
+    # r(C4, K2 u P3) = 6; without --witness the K5 witness goes to the
+    # working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["ramsey", "--red", "C4", "--blue", "K2 u P3"]) == EXIT_OK
+    assert capsys.readouterr().out == "6\n"
+    assert os.listdir(tmp_path) == ["C4_K2_u_P3.witness"]
+    assert main(["witness-check", "--file", "C4_K2_u_P3.witness",
+                 "--red", "C4", "--blue", "K2 u P3"]) == EXIT_OK
+
+
+def test_arrows_prints_the_answer_and_writes_the_witness(tmp_path, capsys):
+    # K9 arrows (C4, 4K2); the K8 witness is the text test_search_tree_pinned pins
+    assert main(["arrows", "--n", "9", "--red", "C4", "--blue", "4K2"]) == EXIT_OK
+    assert capsys.readouterr().out == "ARROWS\n"
+    path = tmp_path / "m.witness"
+    assert main(["arrows", "--n", "8", "--red", "C4", "--blue", "4K2",
+                 "--witness", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "GOOD COLORING EXISTS\n"
+    assert path.read_text() == "n=8\nred=0-1,0-2,0-3,0-4,0-5,0-6,0-7,1-2,3-4,5-6\n"
+
+
 @pytest.mark.parametrize("n", [-1, 33])
 def test_arrows_rejects_bad_order(tmp_path, capsys, n):
     path = tmp_path / "w.witness"
