@@ -47,8 +47,8 @@ from ramsey.arrowing import (
 )
 from ramsey.bounds import THEOREMS, SweepViolationError, sweep, sweep_params
 from ramsey.enumeration import EnumFilter, enumerate_graphs
-from ramsey.families import NameParseError, graph_from_name
-from ramsey.graphs import MAX_VERTICES, GraphError, embeds, graph6_encode
+from ramsey.families import graph_from_name
+from ramsey.graphs import MAX_VERTICES, embeds, graph6_encode
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -80,6 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact small Ramsey numbers by exhaustive 2-coloring search.")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def add_patterns(p):
+        p.add_argument("--red", required=True, metavar="NAME", help="pattern forbidden in red (F)")
+        p.add_argument("--blue", required=True, metavar="NAME",
+                       help="pattern forbidden in blue (G)")
+
     def add_common(p):
         p.add_argument("--budget", type=_positive_float, default=None,
                        help="time budget in seconds (default: unlimited)")
@@ -88,22 +93,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "JOBS - 1 helpers for each such order, which needs os.fork")
 
     p = sub.add_parser("ramsey", help="compute r(F,G) and write the (r-1)-witness")
-    p.add_argument("--red", required=True, metavar="NAME", help="pattern forbidden in red (F)")
-    p.add_argument("--blue", required=True, metavar="NAME", help="pattern forbidden in blue (G)")
+    p.set_defaults(run=_cmd_ramsey)
+    add_patterns(p)
     p.add_argument("--max-n", type=int, default=MAX_VERTICES, help="give up beyond this order")
     p.add_argument("--witness", metavar="FILE", default=None,
                    help="where to write the (r-1)-witness (default: derived from the names)")
     add_common(p)
 
     p = sub.add_parser("arrows", help="decide K_n -> (F,G)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--red", required=True, metavar="NAME")
-    p.add_argument("--blue", required=True, metavar="NAME")
+    p.set_defaults(run=_cmd_arrows)
+    p.add_argument("--n", type=int, required=True, help="order of the complete graph to colour")
+    add_patterns(p)
     p.add_argument("--witness", metavar="FILE", default=None,
                    help="write the good coloring here when one exists")
     add_common(p)
 
     p = sub.add_parser("verify", help="sweep a bound over enumerated graphs")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--q-max", type=int, default=None, help="largest edge count to sweep")
     p.add_argument("--k", type=int, default=None, help="k of K_{2,k} (l31/l32/t3)")
@@ -115,15 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("enumerate", help="list non-isomorphic graphs with q edges")
-    p.add_argument("--edges", type=int, required=True, metavar="Q")
-    p.add_argument("--connected", action="store_true")
-    p.add_argument("--allow-isolated", action="store_true")
-    p.add_argument("--max-vertices", type=int, default=None)
+    p.set_defaults(run=_cmd_enumerate)
+    p.add_argument("--edges", type=int, required=True, metavar="Q", help="number of edges")
+    p.add_argument("--connected", action="store_true", help="list connected graphs only")
+    p.add_argument("--allow-isolated", action="store_true", help="pad with isolated vertices too")
+    p.add_argument("--max-vertices", type=int, default=None, help="largest order (default: 2Q)")
 
     p = sub.add_parser("witness-check", help="validate a witness file against the patterns")
-    p.add_argument("--file", required=True)
-    p.add_argument("--red", required=True, metavar="NAME")
-    p.add_argument("--blue", required=True, metavar="NAME")
+    p.set_defaults(run=_cmd_witness_check)
+    p.add_argument("--file", required=True, help="the witness file, as ramsey and arrows write it")
+    add_patterns(p)
 
     return ap
 
@@ -260,21 +267,11 @@ def _cmd_witness_check(args) -> int:
     return EXIT_VIOLATION
 
 
-_DISPATCH = {
-    "ramsey": _cmd_ramsey,
-    "arrows": _cmd_arrows,
-    "verify": _cmd_verify,
-    "enumerate": _cmd_enumerate,
-    "witness-check": _cmd_witness_check,
-}
-
-
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
-    except (NameParseError, GraphError, ValueError, OSError) as e:
+        return args.run(args)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as e:

@@ -25,7 +25,9 @@ from ramsey.arrowing import (
 from ramsey import arrowing
 from ramsey.families import graph_from_name
 from ramsey.enumeration import isolate_free_graphs
-from ramsey.graphs import Graph, GraphError, complement, embeds, from_edges, lex_edges
+from ramsey.graphs import (
+    Graph, GraphError, complement, embeds, from_edges, graph6_encode, is_connected, lex_edges,
+)
 
 from brute import (
     brute_embeds,
@@ -43,6 +45,9 @@ M2 = graph_from_name("2K2")
 K13 = graph_from_name("K1,3")
 K23 = graph_from_name("K2,3")
 BULL = from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
+# every tree with 1..5 edges: connected, with one vertex more than edges
+TREES = [g for q in range(1, 6) for g in isolate_free_graphs(q)
+         if g.n == q + 1 and is_connected(g)]
 
 
 def counting_check(pat, calls):
@@ -547,6 +552,24 @@ class TestRamseyNumber:
     ])
     def test_c4_values(self, blue, expected):
         assert ramsey_number(C4, graph_from_name(blue)) == expected
+
+    @pytest.mark.parametrize("red,blue,expected", [
+        ("K2,3", "K2,3", 10),  # Radziszowski, dynamic survey DS1
+        ("C4", "K1,5", 8),  # Parsons
+        ("C4", "K1,6", 9),
+        *[("K3", f"{m}K2", 2 * m + 1) for m in range(1, 6)],
+        # Chvátal (1977): r(K3, T) = 2q + 1 for a tree T with q edges
+        *[("K3", "g6:" + graph6_encode(t), 2 * t.q + 1) for t in TREES],
+    ])
+    def test_published_values(self, red, blue, expected):
+        F, G = graph_from_name(red), graph_from_name(blue)
+        r, w = ramsey_number_with_witness(F, G)
+        assert r == expected
+        assert verify_coloring(w, F, G)
+
+    def test_thirteen_trees(self):
+        # 1, 1, 2, 3 and 6 trees with 1..5 edges (OEIS A000055)
+        assert [t.q for t in TREES] == [1, 2, 3, 3, 4, 4, 4, 5, 5, 5, 5, 5, 5]
 
     def test_k2k_vs_k2(self):
         assert ramsey_number(K23, K2) == 5

@@ -216,6 +216,7 @@ def _p3_row(**changes) -> str:
     (_p3_row()[:20], "line 1 is not one whole JSON object"),
     (_p3_row().rstrip("\n"), "line 1 is not one whole JSON object"),
     (_p3_row() + "[]\n", "line 2 is not one whole JSON object"),
+    ('{"theorem": "t1",\n', "line 1 is not one whole JSON object"),
     # rows the sweep could not have written
     (_p3_row(exact=99), "'BW': slack is 1, the sweep writes -94"),
     (_p3_row(graph={"g6": "garbage!", "name": "P3"}), "'garbage!': not a graph of this sweep"),

@@ -60,6 +60,10 @@ class TestRealize:
             graph_from_name("K40")
         with pytest.raises(NameParseError):
             graph_from_name("17K2")
+        # more digits than int reads, refused at the multiplier
+        with pytest.raises(NameParseError) as exc:
+            graph_from_name("9" * 5000 + "K2")
+        assert exc.value.position == 0
 
 
 class TestGrammar:

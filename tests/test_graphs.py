@@ -82,9 +82,15 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(33, [0] * 33)
 
-    def test_asymmetric_adjacency_rejected(self):
-        with pytest.raises(GraphError):
-            Graph(2, [2, 0])
+    @pytest.mark.parametrize("n,adj,message", [
+        (2, [2, 0], "asymmetric"),
+        (2, [0], "adjacency has 1 rows"),
+        (2, [4, 0], "row 0 references a vertex >= 2"),
+        (1, [1], "self-loop at vertex 0"),
+    ])
+    def test_bad_adjacency_rejected(self, n, adj, message):
+        with pytest.raises(GraphError, match=message):
+            Graph(n, adj)
 
     def test_edges_lexicographic(self):
         assert C4.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
