@@ -131,7 +131,7 @@ _K_MAX = MAX_VERTICES - 2
 THEOREMS = {
     # q_min, default q_max, default k, k range, bound(p, q, k), domain
     "t1": Theorem(2, 4, 2, (2, 2), lambda p, q, k: 2 * q + 1, _every_graph),
-    "t2": Theorem(2, 4, 2, (2, 2), lambda p, q, k: 2 * p + q - 2, lambda g: g.n >= 3),
+    "t2": Theorem(2, 4, 2, (2, 2), lambda p, q, k: 2 * p + q - 2, _every_graph),
     "l31": Theorem(2, 4, 2, (2, _K_MAX), lambda p, q, k: k * q + 1, _is_path_star_or_triangle),
     "l32": Theorem(2, 2, 3, (2, _K_MAX), lambda p, q, k: k * q + 1, _every_graph),
     "t3": Theorem(1, 2, 3, (3, _K_MAX), lambda p, q, k: k * q + 2, _every_graph),

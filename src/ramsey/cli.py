@@ -21,9 +21,9 @@ The arrows command always searches.
 verify --resume continues the sweep in its --json file.  Each line must be
 one whole JSON object, and sweep rebuilds each row from its graph, k, exact
 and runtime and refuses a row it would not write: exit 2 before any search,
-with the file left as it was.  A row with slack < 0 exits 1, a resumed
-one before any search.  The first write replaces a footer on the file's
-last line, so the file ends with one footer.
+with the file left as it was; so does a footer on any line but the last.
+A row with slack < 0 exits 1, a resumed one before any search.  The first
+write replaces the footer on the last line, so the file ends with one.
 """
 
 from __future__ import annotations
@@ -176,6 +176,8 @@ def _resumed_rows(path: str, theorem: str) -> tuple[dict[str, dict], int | None]
     with open(path, "rb") as fp:
         for number, line in enumerate(fp, 1):
             where = f"{path} line {number}"
+            if footer is not None:  # older runs left footers between rows
+                raise ValueError(f"{path} line {number - 1} is a footer but not the last line")
             try:
                 row = json.loads(line) if line.endswith(b"\n") else None
             except ValueError:  # UnicodeDecodeError included

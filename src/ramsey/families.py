@@ -36,8 +36,6 @@ from ramsey.graphs import (
     from_edges,
     graph6_decode,
     graph6_encode,
-    is_connected,
-    isomorphic,
 )
 
 
@@ -163,25 +161,28 @@ def graph_from_name(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 def _name_component(c: Graph, g6: str) -> str:
-    """Family name of a connected (or single-vertex) graph, falling back to
-    g6, its canonical graph6."""
+    """Family name of c, which must be connected (K1 included), else "g6:" +
+    g6, its canonical graph6.  Counts decide: K_n by q = n(n-1)/2, P_n by
+    q = n - 1 and max degree <= 2, C_n by n >= 4, q = n and max degree 2, the
+    paw by n = q = 4, T3 by n = 5, q = 4 and max degree 3, B_{n-2} by degrees
+    2^(n-2) (n-1)^2; K_{a,b} is as_biclique's (the house has K2,3's degrees)."""
     n, q = c.n, c.q
     degs = sorted(c.degrees())
     if q == n * (n - 1) // 2:
         return f"K{n}"  # includes K1, K2, K3
-    if q == n - 1 and degs[-1] <= 2 and is_connected(c):
+    if q == n - 1 and degs[-1] <= 2:
         return f"P{n}"
-    if n >= 4 and q == n and all(d == 2 for d in degs) and is_connected(c):
+    if n >= 4 and q == n and degs[-1] == 2:
         return f"C{n}"
-    if n == 4 and q == 4 and isomorphic(c, PAW):
-        return "paw"
-    if n == 5 and q == 4 and isomorphic(c, T3):
-        return "T3"
+    if n == q == 4:
+        return "paw"  # C4 is the only other connected graph with n = q = 4
+    if n == 5 and q == 4 and degs[-1] == 3:
+        return "T3"  # the only 5-vertex tree with max degree 3
     ab = as_biclique(c)
     if ab:
         return f"K{ab[0]},{ab[1]}"
-    if n >= 4 and q == 2 * (n - 2) + 1 and isomorphic(c, book(n - 2)):
-        return f"B{n - 2}"
+    if degs == [2] * (n - 2) + [n - 1] * 2:
+        return f"B{n - 2}"  # the top two vertices carry all 2n - 3 edges
     return "g6:" + g6
 
 

@@ -566,17 +566,6 @@ def as_biclique(g: Graph) -> tuple[int, int] | None:
     return a, b
 
 
-def isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test for small graphs."""
-    if a.n != b.n or a.q != b.q:
-        return False
-    if sorted(a.degrees()) != sorted(b.degrees()):
-        return False
-    # an edge-preserving injection between graphs of equal order and size
-    # is an isomorphism
-    return embeds(a, b)
-
-
 # ---------------------------------------------------------------------------
 # graph6
 # ---------------------------------------------------------------------------

@@ -31,6 +31,12 @@ def brute_embeds(h: Graph, g: Graph) -> bool:
     return False
 
 
+def brute_isomorphic(a: Graph, b: Graph) -> bool:
+    """Equal order and size, and some injective vertex map of a into b
+    keeps every edge: then it is a bijection onto b's edges."""
+    return a.n == b.n and a.q == b.q and brute_embeds(a, b)
+
+
 def brute_refine_colors(g: Graph) -> list[int]:
     """Iterated degree refinement, round after round until a round changes
     no colour: the plain loop graphs._refine_colors is checked against."""

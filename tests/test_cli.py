@@ -306,6 +306,22 @@ def test_resume_refuses_a_cut_line_then_finishes_without_it(tmp_path, capsys):
     assert rows(path) == rows(full)
 
 
+def test_resume_refuses_a_footer_before_the_last_line(tmp_path, capsys):
+    # a file can hold a footer between rows, or two footers; resuming it
+    # exits 2, names the footer's line and leaves the file as it was
+    path = tmp_path / "t1.jsonl"
+    verify = ["verify", "--theorem", "t1", "--q-max", "3", "--json", str(path)]
+    assert main(verify) == EXIT_OK
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 8 and b"summary" in lines[-1]
+    for text, line in [(b"".join(lines[:3] + lines[-1:] + lines[3:5]), 4), (lines[-1] * 2, 1)]:
+        path.write_bytes(text)
+        capsys.readouterr()
+        assert main(verify + ["--resume"]) == EXIT_USAGE
+        assert f"line {line} is a footer but not the last line" in capsys.readouterr().err
+        assert path.read_bytes() == text
+
+
 @pytest.mark.parametrize("first,second,message", [
     (["--theorem", "t1", "--q-max", "2"], ["--theorem", "t3", "--q-max", "2"],
      "'BW': theorem is \"t1\", the sweep writes \"t3\""),
