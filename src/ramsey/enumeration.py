@@ -37,8 +37,13 @@ A vertex cap bounds every level, since removing an edge and its exposed
 isolates never adds a vertex; nothing is cached between calls.  q = 8
 (497 classes from 901 canonical forms and as many searches; 3,393 forms
 without the invariant test and 8,252 without the orbits either) takes
-about 0.15 s on a 2-CPU Intel Xeon with Python 3.11, and q = 10 (4,613
-classes from 8,545) about 1.4-1.9 s.
+about 80 ms on a 2-CPU Intel Xeon with Python 3.11, and q = 10 (4,613
+classes from 8,545) about 0.9-1.0 s.
+
+With isolated vertices allowed, g with k = 0, 1, ... isolated vertices
+up to the cap is a class of its own for each class g, and its canonical
+form is built with no search: k zero rows, then g's form shifted up by k
+(see enumerate_graphs).  q = 8 gives 4,049 graphs from 901 forms, 0.12 s.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from ramsey.graphs import (
     _bits,
     _unchecked_graph,
     canonical_form,
-    disjoint_union,
     from_edges,
     graph6_encode,
     is_connected,
@@ -61,29 +65,25 @@ from ramsey.graphs import (
 class EnumFilter:
     """What to enumerate: all q-edge graphs, one per isomorphism class.
 
-    max_vertices defaults to 2q (an isolate-free graph with q edges has at
-    most 2q vertices); it also caps the padding when isolated vertices are
-    allowed.
+    max_vertices is the vertex cap, 2..MAX_VERTICES; given None, it is
+    min(2q, MAX_VERTICES), as an isolate-free graph with q edges has at most
+    2q vertices.  It also caps the padding when isolates are allowed.
     """
 
     __slots__ = ("q", "require_isolate_free", "require_connected", "max_vertices")
 
     def __init__(self, q: int, require_isolate_free: bool = True,
                  require_connected: bool = False, max_vertices: Optional[int] = None):
+        if q < 1:
+            raise ValueError(f"edge count must be >= 1, got {q}")
+        if max_vertices is None:
+            max_vertices = min(2 * q, MAX_VERTICES)
+        if not 2 <= max_vertices <= MAX_VERTICES:
+            raise ValueError(f"max_vertices {max_vertices} outside 2..{MAX_VERTICES}")
         self.q = q
         self.require_isolate_free = require_isolate_free
         self.require_connected = require_connected
         self.max_vertices = max_vertices
-        if self.q < 1:
-            raise ValueError(f"edge count must be >= 1, got {self.q}")
-        cap = self.effective_cap()
-        if not 2 <= cap <= MAX_VERTICES:
-            raise ValueError(f"max_vertices {cap} outside 2..{MAX_VERTICES}")
-
-    def effective_cap(self) -> int:
-        if self.max_vertices is not None:
-            return self.max_vertices
-        return min(2 * self.q, MAX_VERTICES)
 
 
 def _edge_invariant(adj, i: int, j: int) -> tuple[int, int, int]:
@@ -167,22 +167,19 @@ def _isolate_free_classes(q: int, cap: int = MAX_VERTICES,
 def enumerate_graphs(f: EnumFilter) -> list[Graph]:
     """One canonical representative per isomorphism class matching the
     filter, sorted by (n, canonical graph6 string)."""
-    cap = f.effective_cap()
+    cap = f.max_vertices
     base = _isolate_free_classes(f.q, cap)
     if f.require_connected:
         base = [g for g in base if is_connected(g)]
     if f.require_isolate_free or f.require_connected:
         # a graph padded with isolated vertices is never connected
         return base
-    # pad with isolated vertices up to the cap; each pad count is its own
-    # isomorphism class
-    out: list[Graph] = []
-    for g in base:
-        out.append(g)
-        padded = g
-        while padded.n + 1 <= cap:
-            padded = disjoint_union(padded, from_edges(1, []))
-            out.append(canonical_form(padded))
+    # g with k isolated vertices, one class per k up to the cap; its form is
+    # g's shifted up by k: refinement gives isolated vertices the least
+    # colour and keeps the other cells in their order, so they are placed
+    # first, and their all-zero columns leave the least string to g's
+    out = [_unchecked_graph(g.n + k, [0] * k + [row << k for row in g.adj])
+           for g in base for k in range(cap - g.n + 1)]
     out.sort(key=lambda g: (g.n, graph6_encode(g)))
     return out
 

@@ -105,10 +105,14 @@ def small_graphs():
 
 @pytest.mark.parametrize("q", range(1, 16))
 def test_capped_classes_against_vertex_extension(q, small_graphs):
-    got = [graph6_encode(g) for g in enumerate_graphs(EnumFilter(q=q, max_vertices=6))]
-    want = sorted((g for g in small_graphs if g.q == q and min(g.degrees()) >= 1),
-                  key=lambda g: (g.n, graph6_encode(g)))
-    assert got == [graph6_encode(g) for g in want]
+    # with isolated vertices allowed, the padded classes are checked too
+    for isolate_free in (True, False):
+        f = EnumFilter(q=q, require_isolate_free=isolate_free, max_vertices=6)
+        got = [graph6_encode(g) for g in enumerate_graphs(f)]
+        want = sorted((g for g in small_graphs
+                       if g.q == q and (not isolate_free or min(g.degrees()) >= 1)),
+                      key=lambda g: (g.n, graph6_encode(g)))
+        assert got == [graph6_encode(g) for g in want], isolate_free
 
 
 def test_edge_invariant_survives_relabelling():
