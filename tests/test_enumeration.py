@@ -4,9 +4,24 @@ import random
 import pytest
 
 from ramsey import enumeration, graphs
-from ramsey.enumeration import EnumFilter, _edge_invariant, enumerate_graphs, isolate_free_graphs
+from ramsey.enumeration import (
+    EnumFilter,
+    _edge_invariant,
+    _isolate_free_classes,
+    _k2_lead,
+    _plus_k2,
+    enumerate_graphs,
+    isolate_free_graphs,
+)
 from ramsey.families import describe, graph_from_name
-from ramsey.graphs import canonical_form, from_edges, graph6_decode, graph6_encode, is_connected
+from ramsey.graphs import (
+    _unchecked_graph,
+    canonical_form,
+    from_edges,
+    graph6_decode,
+    graph6_encode,
+    is_connected,
+)
 
 from brute import brute_graph_classes, brute_graphs
 
@@ -35,9 +50,80 @@ def test_q8_representatives_pinned():
     assert digest == "24d0b65e46677c35489bb38e5c7d864a738615d26dc3e8e80cb54f27896d777c"
 
 
+def test_q9_representatives_pinned():
+    keys = sorted(graph6_encode(g) for g in isolate_free_graphs(9))
+    digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+    assert digest == "706d6f22ffddfe893c92adec35a94b016612a9052159fceeb93c1f4e83faf13f"
+
+
+def _has_k2_component(g):
+    deg = g.degrees()
+    return any(deg[i] == deg[j] == 1 for i, j in g.edges())
+
+
+def test_built_forms_are_canonical():
+    # every class with a K2 component is built from its parent's form with
+    # no search, so it must be canonical_form's answer, from any labelling
+    rng = random.Random(30)
+    built = 0
+    for q in range(1, 9):
+        for cap in range(2, 2 * q + 1):
+            for g in _isolate_free_classes(q, cap):
+                assert (_k2_lead(g) > 0) == _has_k2_component(g)
+                if not _k2_lead(g):
+                    continue
+                built += 1
+                assert canonical_form(g) == g
+                perm = rng.sample(range(g.n), g.n)
+                h = from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges()])
+                assert canonical_form(h) == g, graph6_encode(g)
+    assert built > 1000
+
+
+def test_k2_block_is_the_form_of_mk2():
+    g = _unchecked_graph(0, [])
+    for m in range(1, 17):
+        g, _ = _plus_k2(g, [])
+        assert g == canonical_form(from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)]))
+        assert g.edges() == sorted((i, 2 * m - 1 - i) for i in range(m))
+        assert _k2_lead(g) == 2 * m
+
+
+@pytest.mark.parametrize("q", range(1, 8))
+def test_carried_generators_are_automorphisms(q):
+    # the generators each class carries to the next level, from _plus_k2 or
+    # from the search that labelled it, must be automorphisms of its form
+    for cap in range(2, 2 * q + 1):
+        autos = []
+        gs = _isolate_free_classes(q, cap, autos)
+        assert len(autos) == len(gs)
+        for g, gens in zip(gs, autos):
+            edges = set(g.edges())
+            for gamma in gens:
+                assert sorted(gamma) == list(range(g.n))
+                assert {tuple(sorted((gamma[i], gamma[j]))) for i, j in edges} == edges
+
+
+def test_no_k2_component_is_labelled(monkeypatch):
+    # a class with a K2 component is built from its parent, so no graph
+    # with one reaches canonical_form
+    labelled = []
+
+    def recorded(g, *args, **kwargs):
+        labelled.append(g)
+        return canonical_form(g, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "canonical_form", recorded)
+    for q in range(1, 9):
+        isolate_free_graphs(q)
+    assert labelled
+    assert not [graph6_encode(g) for g in labelled if _has_k2_component(g)]
+
+
 def test_one_search_per_labelling(monkeypatch):
-    # each class's generators come from the search that labelled it, so no
-    # parent is searched a second time for its automorphisms
+    # a labelled class's generators come from the search that labelled it,
+    # and a built class's from its parent's, so no parent is searched a
+    # second time for its automorphisms
     counts = {"canonical_form": 0, "_canonical_search": 0}
 
     def counted(name, fn):
@@ -55,8 +141,10 @@ def test_one_search_per_labelling(monkeypatch):
 
 
 def test_q8_labellings_capped(monkeypatch):
-    # 901 canonical_form calls at q=8, the count the orbit and edge-invariant
-    # tests reached; a faster search must not label more children
+    # 582 canonical_form calls at q=8, the count the orbit and edge-invariant
+    # tests reached once the classes with a K2 component were built from
+    # their parents (901 when every class was labelled); a faster search
+    # must not label more children
     calls = 0
 
     def counted(*args, **kwargs):
@@ -66,7 +154,7 @@ def test_q8_labellings_capped(monkeypatch):
 
     monkeypatch.setattr(enumeration, "canonical_form", counted)
     assert len(isolate_free_graphs(8)) == 497
-    assert calls <= 901
+    assert calls <= 582
 
 
 def test_q2_classes():
