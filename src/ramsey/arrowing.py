@@ -82,8 +82,6 @@ from ramsey.graphs import (
     embed_plan,
     embeds,
     extend_embedding,
-    from_edges,
-    lex_edges,
 )
 
 _CHECK_MASK = 0xFFF  # budget clock checked every 4096 nodes
@@ -472,7 +470,7 @@ def _run_search(n, F, G, checks, budget, jobs):
         return None, 0
     if F.q > 0 and F.n > n and G.q > 0 and G.n > n:
         # nothing fits; any coloring is good
-        return from_edges(n, lex_edges(n)), 0
+        return complement(Graph(n, [0] * n)), 0
     red_check, blue_check = checks
     split = _split(n, red_check, blue_check, deadline)
     helpers = []  # (pid, pipe) of shares 1, 2, ...

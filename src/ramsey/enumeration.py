@@ -27,12 +27,12 @@ orbit goes through canonical_form.  A labelled class keeps the
 automorphisms that canonical_form met while labelling it, carried onto
 the form; a built class gets its block's (swap the ends of the outer
 pair, swap each pair with the next) and P's, moved onto the rest.  Each
-class keeps them until the next level has used them; the last level
-keeps none.  So each canonical_form call is one search, and no parent is
-searched again.  The generators need not generate the whole automorphism
-group: any set of automorphisms merges only candidates that grow one
-class, so the list stays complete.  The built classes need theirs: with
-none, q = 8 makes 801 canonical forms, not 582.
+level returns its classes with their generators, and the next level
+walks its orbits with them.  So each canonical_form call is one search,
+and no parent is searched again.  The generators need not generate the
+whole automorphism group: any set of automorphisms merges only
+candidates that grow one class, so the list stays complete.  The built
+classes need theirs: with none, q = 8 makes 801 canonical forms, not 582.
 
 Grown children that keep a K2 component of the parent are dropped, with
 the disjoint edge, before the orbits are walked: their classes are
@@ -200,45 +200,30 @@ def _plus_k2(h: Graph, h_autos: list[list[int]]) -> tuple[Graph, list[list[int]]
     return _unchecked_graph(n + 2, rows), gens
 
 
-def _isolate_free_classes(q: int, cap: int = MAX_VERTICES,
-                          autos: list[list[list[int]]] | None = None) -> list[Graph]:
+def _isolate_free_classes(q: int, cap: int = MAX_VERTICES) -> list[tuple[Graph, list[list[int]]]]:
     """Canonical representatives of all isolate-free graphs with exactly q
-    edges and at most cap vertices, sorted by (n, graph6).  A class with a
-    K2 component is P u K2 for the one class P at level q-1 that is that
-    class less one K2, and is built from P's form (_plus_k2); the others
-    are the canonical forms of the (q-1)-edge classes' children.  Given a
-    list as autos, appends to it, class by class, automorphisms of that
-    class: those _plus_k2 gives, or those canonical_form met while
-    labelling it."""
-    if q == 1:
-        parents, parent_autos = [_unchecked_graph(0, [])], [[]]
-    else:
-        parent_autos: list[list[list[int]]] = []
-        parents = _isolate_free_classes(q - 1, cap, parent_autos)
-    seen: dict[str, tuple[Graph, list[list[int]] | None]] = {}
-    for h, h_autos in zip(parents, parent_autos):
-        if h.n + 2 <= cap:
-            g, gens = _plus_k2(h, h_autos)
-            seen[graph6_encode(g)] = (g, gens)
-    # the empty graph, K2's parent at q = 1, has no children
-    children = (c for h, h_autos in zip(parents, parent_autos) if h.n
-                for c in _children(h, h_autos, cap))
-    for child in children:
-        gens = None if autos is None else []
-        cf = canonical_form(child, autos=gens)
-        seen.setdefault(graph6_encode(cf), (cf, gens))
+    edges and at most cap vertices, each with automorphisms of it, sorted
+    by (n, graph6).  A class with a K2 component is P u K2 for the one class
+    P at level q-1 that is that class less one K2, and is built from P's
+    form with the automorphisms _plus_k2 gives; the others are the
+    canonical forms of the (q-1)-edge classes' children, with the
+    automorphisms canonical_form met while labelling them."""
+    parents = [(_unchecked_graph(0, []), [])] if q == 1 else _isolate_free_classes(q - 1, cap)
+    seen = dict(_plus_k2(h, h_autos) for h, h_autos in parents if h.n + 2 <= cap)
+    for h, h_autos in parents:
+        # the empty graph, K2's parent at q = 1, has no children
+        for child in _children(h, h_autos, cap) if h.n else ():
+            gens: list[list[int]] = []
+            seen.setdefault(canonical_form(child, autos=gens), gens)
     # graph6 starts with the byte n + 63, so its order is (n, graph6)
-    keys = sorted(seen)
-    if autos is not None:
-        autos += [seen[key][1] for key in keys]
-    return [seen[key][0] for key in keys]
+    return sorted(seen.items(), key=lambda item: graph6_encode(item[0]))
 
 
 def enumerate_graphs(f: EnumFilter) -> list[Graph]:
     """One canonical representative per isomorphism class matching the
     filter, sorted by (n, canonical graph6 string)."""
     cap = f.max_vertices
-    base = _isolate_free_classes(f.q, cap)
+    base = [g for g, _ in _isolate_free_classes(f.q, cap)]
     if f.require_connected:
         base = [g for g in base if is_connected(g)]
     if f.require_isolate_free or f.require_connected:
@@ -250,7 +235,7 @@ def enumerate_graphs(f: EnumFilter) -> list[Graph]:
     # first, and their all-zero columns leave the least string to g's
     out = [_unchecked_graph(g.n + k, [0] * k + [row << k for row in g.adj])
            for g in base for k in range(cap - g.n + 1)]
-    out.sort(key=lambda g: (g.n, graph6_encode(g)))
+    out.sort(key=graph6_encode)
     return out
 
 

@@ -266,9 +266,15 @@ class TestHelperLifetime:
 
 class TestArrows:
     def test_too_small_to_fit(self):
-        out = arrows(2, C4, K3)
-        assert out.arrows is False
-        assert out.witness is not None
+        # neither pattern fits in K_n, so the witness is the all-red K_n
+        # with no search; K3 fits in K_3, where the search runs
+        for blue in (K3, graph_from_name("K4")):
+            for n in range(blue.n):
+                out = arrows(n, C4, blue)
+                assert out.arrows is False
+                assert out.witness == from_edges(n, lex_edges(n))
+                assert verify_coloring(out.witness, C4, blue)
+                assert out.nodes == 0
 
     def test_paper_anchor_4k2(self):
         m4 = graph_from_name("4K2")
