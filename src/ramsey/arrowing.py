@@ -123,9 +123,9 @@ def verify_coloring(red: Graph, F: Graph, G: Graph) -> bool:
     no G in its complement, the blue graph.
 
     It runs graphs.embeds, not the search's anchored checks.  The only code
-    it shares with them is the matching kernel, which check_matching also
-    calls; brute_has_matching and brute_embeds in the tests and perfbench's
-    networkx cross-check guard that kernel.
+    it shares with them is the matching kernel, which the generic check's
+    plan leaves also call; brute_has_matching and brute_embeds in the tests
+    and perfbench's networkx cross-check guard that kernel.
     """
     return not embeds(F, red) and not embeds(G, complement(red))
 
@@ -188,10 +188,10 @@ def _make_check(pat: Graph):
     leaf asks the matching kernel for the m K_2 components that do not
     hold its anchor, so a failing check never tries their orders and
     orientations one by one.  The K_2s' edges are one orbit, whose plan
-    asks for m - 1 and runs last.  Either way a copy leaves m disjoint
-    edges beside u and v (m - 1 if the K_2s are pat's only edges), the
-    most any leaf asks for, so a class with fewer fails before any plan
-    runs.
+    asks for m - 1 and runs last.  Unless pat is mK_2, a copy leaves m
+    disjoint edges beside u and v, the most any leaf asks for, so a class
+    with fewer fails before any plan runs.  mK_2's one plan places only
+    its anchor, and its leaf is that test itself, so it has no prefilter.
 
     If sigma is an automorphism of pat, a copy that maps sigma(e) onto
     (u, v) is sigma followed by a copy that maps e onto (u, v), with the
@@ -200,13 +200,6 @@ def _make_check(pat: Graph):
     itself with e's ends on sigma(e)'s, its leaf's K_2s included: an
     injective self-map that carries edges to edges is an automorphism.
     """
-    m = _as_matching(pat)
-    if m is not None:
-        # a new mK_2 uses (u, v), so it is (u, v) plus an (m-1)-matching
-        # of the class minus u and v
-        def check_matching(adj, n, u, v, _need=m - 1):
-            return _has_matching(adj, ((1 << n) - 1) & ~((1 << u) | (1 << v)), _need)
-        return check_matching
     ab = as_biclique(pat)
     if ab is not None and ab[0] == 1:
         # a new star K_{1,s} is centred at u or v
@@ -243,20 +236,22 @@ def _make_check(pat: Graph):
             free = ((1 << pat.n) - 1) & ~((1 << a) | (1 << b))
             if not any(extend_embedding(pat.adj, free, plan, [a, b] + pad, 2) for plan in plans):
                 plans.append(embed_plan(pat, (a, b)))
-    # the plan anchored on a K_2 asks for one K_2 fewer and runs last
+    # the plan anchored on a K_2 asks for one K_2 fewer and runs last; a
+    # plan that places only its anchor needs no prefilter before its leaf
     plans.sort(key=lambda plan: -plan[-1][1])
-    least = plans[0][-1][1] if plans else 0
+    least = max([plan[-1][1] for plan in plans if len(plan) > 3], default=0)
 
-    def check_generic(adj, n, u, v, _plans=plans, _least=least):
-        du = adj[u].bit_count()
-        dv = adj[v].bit_count()
+    def check_generic(adj, n, u, v, _plans=plans, _least=least, _pad=pad):
         free = ((1 << n) - 1) & ~((1 << u) | (1 << v))
         if _least and not _has_matching(adj, free, _least):
             return False
+        du = adj[u].bit_count()
+        dv = adj[v].bit_count()
+        # steps 0 and 1 are the anchor's ends, mapped onto u and v; every
+        # plan writes each later step's image before it reads it
+        img = [u, v, *_pad]
         for plan in _plans:
-            # steps 0 and 1 are the anchor's ends, mapped onto u and v
-            if (du >= plan[0][1] and dv >= plan[1][1]
-                    and extend_embedding(adj, free, plan, [u, v] + [0] * (len(plan) - 3), 2)):
+            if du >= plan[0][1] and dv >= plan[1][1] and extend_embedding(adj, free, plan, img, 2):
                 return True
         return False
     return check_generic

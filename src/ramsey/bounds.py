@@ -76,10 +76,6 @@ class SweepResult:
     def max_slack(self) -> int:
         return max((r.slack for r in self.reports), default=0)
 
-    @property
-    def ok(self) -> bool:
-        return not self.incomplete
-
     def summary_json(self) -> dict:
         return {
             "summary": {

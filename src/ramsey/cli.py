@@ -2,7 +2,9 @@
 sweeps, graph enumeration and witness validation.
 
 Exit codes: 0 success, 1 theorem violation / invalid witness, 2 usage
-error (an output file that cannot be opened is one), 3 budget exceeded.
+error (a file that cannot be opened, for writing or witness-check's for
+reading, is one), 3 budget exceeded.  A witness file that opens but does
+not parse is an invalid witness.
 Runs are bit-reproducible for identical flags; --jobs only partitions the
 search tree.  With --jobs above 1 each searched order n forks --jobs - 1
 helper processes, which search their fixed share of its subtrees while
@@ -255,7 +257,7 @@ def _cmd_witness_check(args) -> int:
     try:
         with open(args.file) as fp:
             red = coloring_from_text(fp.read())
-    except (OSError, ValueError) as e:
+    except ValueError as e:
         print(f"INVALID: {e}")
         return EXIT_VIOLATION
     if verify_coloring(red, F, G):

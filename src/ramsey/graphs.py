@@ -396,8 +396,7 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[int], list[list[int]], 
 # embeds(h, g) is the one containment test in the package.  After its size
 # guards it dispatches on h's shape:
 # - mK2 (_as_matching): g has m disjoint edges, decided by the matching
-#   kernel _has_matching, which the search's check_matching and every
-#   plan's leaf share;
+#   kernel _has_matching, which every plan's leaf shares;
 # - K_{2,k}, k >= 2 (as_biclique): some pair of g's vertices has k common
 #   neighbours, one AND per pair;
 # - anything else: degree sequences first (pigeonhole: h's i-th largest

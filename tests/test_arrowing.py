@@ -1,3 +1,4 @@
+import errno
 import itertools
 import os
 import pickle
@@ -212,6 +213,44 @@ class TestHelperLifetime:
             arrows(8, C4, graph_from_name("2K3"), jobs=2)
         self.assert_no_child_left()
 
+    def test_a_helper_overrun_is_raised_with_every_node(self, monkeypatch):
+        # K8 arrows, so this process reads the helper's first subtree; its
+        # overrun is raised here with its own nodes added to the count
+        me = os.getpid()
+        search = arrowing._search
+
+        def helper_overruns(*args):
+            if os.getpid() != me:
+                raise BudgetExceededError("helper over", nodes=7)
+            return search(*args)
+        monkeypatch.setattr(arrowing, "_search", helper_overruns)
+        with pytest.raises(BudgetExceededError, match="^helper over$") as exc:
+            arrows(8, C4, graph_from_name("2K3"), jobs=2)
+        # 8 split nodes up to the second d, 292 in the first d's subtree
+        # and the helper's 7
+        assert exc.value.nodes == 8 + 292 + 7
+        self.assert_no_child_left()
+
+    def test_a_failed_fork_closes_its_pipe_and_reaps_the_helpers(self, forks, monkeypatch):
+        # the second of two forks fails: both ends of its pipe are closed,
+        # and the helper already forked is killed and reaped
+        fds = Path("/proc/self/fd")
+        if not fds.is_dir():
+            pytest.skip("needs /proc/self/fd to count open descriptors")
+        fork = os.fork
+
+        def second_fails():
+            if forks:
+                raise OSError(errno.EAGAIN, "no process for the second helper")
+            return fork()
+        monkeypatch.setattr(os, "fork", second_fails)
+        before = len(list(fds.iterdir()))
+        with pytest.raises(OSError, match="second helper"):
+            arrows(8, C4, graph_from_name("2K3"), jobs=3)
+        assert len(list(fds.iterdir())) == before
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
     def test_jobs_minus_one_helpers_per_order(self, forks):
         for jobs in (2, 3):
             forks.clear()
@@ -402,7 +441,8 @@ class TestArrows:
 
 
 class TestMatchingCheck:
-    """The matching kernel and its anchored check against brute_has_matching."""
+    """The matching kernel, and the anchored check of mK2 that asks it, against
+    brute_has_matching."""
 
     def test_has_matching_vs_oracle(self):
         rng = random.Random(1552)
@@ -442,8 +482,8 @@ class TestGenericCheck:
     """The anchored plan kernel behind check_generic against brute_embeds."""
 
     @pytest.mark.parametrize("name,kind", [
-        ("C4", "biclique"), ("K2,3", "biclique"), ("3K2", "matching"),
-        ("K1,3", "star"), ("P3", "star"), ("paw", "generic"),
+        ("C4", "biclique"), ("K2,3", "biclique"), ("3K2", "generic"),
+        ("K1,3", "star"), ("P3", "star"), ("K2", "star"), ("paw", "generic"),
     ])
     def test_dispatch(self, name, kind):
         # the benchmark tracer names check kinds after these functions

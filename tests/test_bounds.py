@@ -13,14 +13,14 @@ from ramsey.graphs import (canonical_form, disjoint_union, graph6_decode, graph6
 def test_t1_holds_with_the_papers_equality_cases():
     # r(C4, G) <= 2q + 1, with equality exactly at qK2 and K3 (q <= 4)
     result = sweep("t1", q_max=4)
-    assert result.ok
+    assert not result.incomplete
     assert set(result.equality_set) == {"2K2", "3K2", "4K2", "K3"}
 
 
 def test_t2_equality_at_triangle():
     # r(C4, G) <= 2p + q - 2, with equality exactly at K3 (q <= 4)
     result = sweep("t2", q_max=4)
-    assert result.ok
+    assert not result.incomplete
     assert set(result.equality_set) == {"K3"}
 
 
@@ -31,7 +31,7 @@ def rows(result):
 def test_l31_on_paths_stars_and_the_triangle():
     # r(C4, G) <= 2q + 1 on P_n, K_{1,n} and K3, with equality at K3 (q <= 4)
     result = sweep("l31")
-    assert result.ok
+    assert not result.incomplete
     assert rows(result) == [("P3", 4, 5), ("K3", 7, 7), ("K1,3", 6, 7), ("P4", 5, 7),
                             ("K1,4", 7, 9), ("P5", 6, 9)]
     assert result.equality_set == ["K3"]
@@ -40,7 +40,7 @@ def test_l31_on_paths_stars_and_the_triangle():
 def test_l31_at_k3():
     # r(K2,3, G) <= 3q + 1 on the same domain, never with equality (q <= 3)
     result = sweep("l31", k=3, q_max=3)
-    assert result.ok
+    assert not result.incomplete
     assert rows(result) == [("P3", 5, 7), ("K3", 9, 10), ("K1,3", 7, 10), ("P4", 6, 10)]
     assert result.equality_set == []
 
@@ -48,7 +48,7 @@ def test_l31_at_k3():
 def test_l32_default_sweep():
     # r(K2,3, G) <= 3q + 1 over every isolate-free G with q = 2
     result = sweep("l32")
-    assert result.ok
+    assert not result.incomplete
     assert rows(result) == [("P3", 5, 7), ("2K2", 6, 7)]
     assert result.equality_set == []
 
@@ -56,7 +56,7 @@ def test_l32_default_sweep():
 def test_t3_default_sweep():
     # r(K2,3, G) <= 3q + 2, with equality at K2 (q <= 2)
     result = sweep("t3")
-    assert result.ok
+    assert not result.incomplete
     assert rows(result) == [("K2", 5, 5), ("P3", 5, 8), ("2K2", 6, 8)]
     assert result.equality_set == ["K2"]
 
@@ -64,7 +64,7 @@ def test_t3_default_sweep():
 def test_sweep_whose_bound_passes_the_vertex_cap():
     # kq + 1 + 2 = 33 is past MAX_VERTICES = 32, but r(K2,15, G) is far below it
     result = sweep("l32", k=15, q_max=2)
-    assert result.ok
+    assert not result.incomplete
     assert rows(result) == [("P3", 17, 31), ("2K2", 18, 31)]
 
 
@@ -81,7 +81,6 @@ def test_sweep_records_a_value_past_the_vertex_cap():
     result = sweep("l32", k=30, q_max=2, resumed=_p3_row("l32", 30, 32))
     assert [r.to_json() for r in result.reports] == list(_p3_row("l32", 30, 32).values())
     assert result.incomplete == [("CK", "have r above the 32-vertex cap")]
-    assert not result.ok
 
 
 def test_sweep_reports_a_scan_past_the_bound_as_a_violation(monkeypatch):

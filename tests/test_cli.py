@@ -19,6 +19,15 @@ def test_witness_check_rejects_oversized_order(tmp_path, capsys, n):
     assert capsys.readouterr().out.startswith("INVALID")
 
 
+def test_witness_check_on_undecodable_bytes_is_invalid(tmp_path, capsys):
+    # the file opens, so its bytes are a witness that does not parse
+    path = tmp_path / "bytes.witness"
+    path.write_bytes(b"n=2\nred=\xff\n")
+    code = main(["witness-check", "--file", str(path), "--red", "C4", "--blue", "K3"])
+    assert code == EXIT_VIOLATION
+    assert capsys.readouterr().out.startswith("INVALID")
+
+
 def test_witness_check_takes_a_pair_listed_twice(tmp_path, capsys):
     # the red star of K4 with one leaf listed again, either way round: no
     # red C4, and blue is a triangle, so no blue 2K2
@@ -127,6 +136,20 @@ def test_arrows_rejects_bad_order(tmp_path, capsys, n):
     assert out == ""
     assert f"order {n} outside" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["missing", "directory"])
+def test_witness_check_on_an_unopenable_file_is_a_usage_error(tmp_path, capsys, name):
+    # a file that cannot be read is no witness at all, valid or invalid
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    code = main(["witness-check", "--file", str(path), "--red", "C4", "--blue", "K3"])
+    assert code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command,out", [
