@@ -34,14 +34,20 @@ whole automorphism group: any set of automorphisms merges only
 candidates that grow one class, so the list stays complete.  The built
 classes need theirs: with none, q = 8 makes 801 canonical forms, not 582.
 
-Grown children that keep a K2 component of the parent are dropped, with
-the disjoint edge, before the orbits are walked: their classes are
-built.  Of the children that remain, only those whose new edge (i, j) has
-the greatest value of a cheap edge invariant, (max(deg i, deg j),
-min(deg i, deg j), |N(i) & N(j)|) in the child, go through canonical_form
-(a test that comes before the canonical labelling, as in McKay's
-"Isomorph-free exhaustive generation", J. Algorithms 1998).  This keeps
-the list complete.  Let G be any class with no K2 component and e* an
+Each parent's candidates go through three tests, in this order.  Those
+that keep a K2 component of the parent are not listed, nor is the
+disjoint edge: their classes are built.  Of the rest, only those whose
+new edge (i, j) has the greatest value of a cheap edge invariant,
+(max(deg i, deg j), min(deg i, deg j), |N(i) & N(j)|) in the child, go
+on (a test that comes before the canonical labelling, as in McKay's
+"Isomorph-free exhaustive generation", J. Algorithms 1998).  The test
+reads the parent's rows, as the new edge changes only the invariants of
+the edges at i and j, so a failing candidate costs no row copy and no
+orbit walk.  The survivors then walk their orbits, and only the first of
+each goes through canonical_form: the invariant is preserved under the
+parent's automorphisms, so an orbit passes or fails as a whole, and the
+first survivor of an orbit is its first candidate.  This keeps the list
+complete.  Let G be any class with no K2 component and e* an
 edge of G whose invariant is greatest.  G - e*, less its exposed
 isolates, is a parent P at level q-1, and some candidate of P grows G
 with e* as the new edge.  e* is not a K2 component of G, so that
@@ -60,9 +66,8 @@ the rest come from 582 canonical forms, one search each (901 when every
 class was labelled, 3,393 without the invariant test and 8,252 without
 the orbits either).  q = 10 gives 4,613 classes from 5,837 forms (8,545
 when every class was labelled).  On a 2-CPU Intel Xeon with Python 3.11,
-q = 8 takes about two thirds of the time it took with every class
-labelled, 87-106 ms against 148-159 ms, and q = 10 1.0-1.1 s against
-1.4-1.6 s.
+isolate_free_graphs(8) takes 52-59 ms in process and
+isolate_free_graphs(10) 0.64-0.74 s (best of several calls).
 
 With isolated vertices allowed, g with k = 0, 1, ... isolated vertices
 up to the cap is a class of its own for each class g, and its canonical
@@ -77,7 +82,6 @@ from typing import Optional
 from ramsey.graphs import (
     Graph,
     MAX_VERTICES,
-    _bits,
     _unchecked_graph,
     canonical_form,
     graph6_encode,
@@ -124,56 +128,78 @@ def _k2_lead(h: Graph) -> int:
     return top + 1 if h.adj[0] == 1 << top and h.adj[top] == 1 else 0
 
 
+def _outranked(rows, ra: int, da: int, c: int, top: tuple[int, int, int]) -> bool:
+    """Whether a new edge (a, c) leaves some edge (a, b) of the graph with
+    adjacency rows rows, a's row ra, an invariant above top: in the child
+    a has degree da, b keeps its degree, and c is a new common neighbour
+    of a and b iff b ~ c."""
+    nb = ra
+    while nb:
+        bit = nb & -nb
+        nb ^= bit
+        rb = rows[bit.bit_length() - 1]
+        db = rb.bit_count()
+        common = (ra & rb).bit_count() + (rb >> c & 1)
+        if ((da, db, common) if da >= db else (db, da, common)) > top:
+            return True
+    return False
+
+
 def _children(h: Graph, h_autos: list[list[int]], cap: int):
     """The children of class h, one edge more, at most cap vertices and no
-    K2 component, that pass the orbit and edge-invariant tests; h_autos
+    K2 component, that pass the edge-invariant and orbit tests; h_autos
     are automorphisms of h."""
     n = h.n
     m = n + 1
     # candidate edges (i, j), i < j <= n, where j = n hangs the edge on a
-    # new vertex.  A child that keeps a K2 component of h is P u K2 for a
-    # class P at h's level and is built from P, so a candidate touches
-    # each of h's K2 components, vertices 0..s-1: with one, (0, 1), i < 2;
-    # with two, (0, 3) and (1, 2), j < 4; with more, none does.  The
+    # new vertex, whose row is 0.  A child that keeps a K2 component of h is
+    # P u K2 for a class P at h's level and is built from P, so a candidate
+    # touches each of h's K2 components, vertices 0..s-1: with one, (0, 1),
+    # i < 2; with two, (0, 3) and (1, 2), j < 4; with more, none does.  The
     # disjoint edge (n, n + 1) is no candidate: h u K2 is built from h.
     s = _k2_lead(h)
     i_end, j_end = {0: (n, m), 2: (2, m), 4: (3, 4)}.get(s, (0, 0))
-    cands = [(i, j) for i in range(i_end) for j in range(i + 1, min(j_end, cap))
-             if not h.adj[i] >> j & 1]
-    # an automorphism of h (fixing n) maps a candidate onto one that grows
-    # the same class and touches the same K2 components, so only one per
-    # orbit is kept: the first in this order, whose orbit is then walked
-    # and marked, keyed i * m + j
-    gens = [gamma + [n] for gamma in h_autos]
-    seen: set[int] = set()
-    grown = []
-    for i, j in cands:
-        if i * m + j in seen:
-            continue
-        grown.append((i, j))
-        seen.add(i * m + j)
-        walk = [(i, j)]
-        for a, b in walk:
-            for gamma in gens:
-                x, y = gamma[a], gamma[b]
-                if x > y:
-                    x, y = y, x
-                if x * m + y not in seen:
-                    seen.add(x * m + y)
-                    walk.append((x, y))
+    j_end = min(j_end, cap)
+    rows = h.adj + (0,)
     # a new edge (i, j) raises the invariants of the edges at i or j and
     # leaves the rest as they are in h, so none of them exceeds h's greatest
     h_top = max([_edge_invariant(h.adj, a, b) for a, b in h.edges()])
-    for i, j in grown:
-        adj = list(h.adj) + [0] * (j + 1 - n)
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        # some child of each class has a new edge of greatest invariant
-        top = _edge_invariant(adj, i, j)
-        if h_top > top or any(_edge_invariant(adj, a, b) > top
-                              for a, c in ((i, j), (j, i)) for b in _bits(adj[a] ^ (1 << c))):
-            continue
-        yield _unchecked_graph(len(adj), adj)
+    # an automorphism of h (fixing n) maps a candidate onto one that grows
+    # the same class, touches the same K2 components and has the same
+    # invariants, so only the first of each orbit in this order is kept:
+    # a survivor of the invariant test walks and marks its orbit, keyed
+    # i * m + j
+    gens = [gamma + [n] for gamma in h_autos]
+    seen: set[int] = set()
+    for i in range(i_end):
+        ri = rows[i]
+        di = ri.bit_count() + 1
+        for j in range(i + 1, j_end):
+            if ri >> j & 1 or i * m + j in seen:
+                continue
+            # some child of each class has a new edge of greatest
+            # invariant; in the child, i and j each gain a degree and
+            # their common neighbours are h's
+            rj = rows[j]
+            dj = rj.bit_count() + 1
+            common = (ri & rj).bit_count()
+            top = (di, dj, common) if di >= dj else (dj, di, common)
+            if h_top > top or _outranked(rows, ri, di, j, top) or _outranked(rows, rj, dj, i, top):
+                continue
+            seen.add(i * m + j)
+            walk = [(i, j)]
+            for a, b in walk:
+                for gamma in gens:
+                    x, y = gamma[a], gamma[b]
+                    if x > y:
+                        x, y = y, x
+                    if x * m + y not in seen:
+                        seen.add(x * m + y)
+                        walk.append((x, y))
+            adj = list(rows if j == n else h.adj)
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            yield _unchecked_graph(len(adj), adj)
 
 
 def _plus_k2(h: Graph, h_autos: list[list[int]]) -> tuple[Graph, list[list[int]]]:

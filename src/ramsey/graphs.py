@@ -177,18 +177,27 @@ def _refine_colors(nbrs: list[list[int]]) -> list[int]:
     """Iterated degree refinement of the graph whose vertex v has the
     neighbour list nbrs[v], the lists the canonical search builds once for
     itself: vertices get dense colours such that any isomorphism preserves
-    colours.  It returns after the first round that splits no cell, since
-    that round's ranks are the ones the next round would give."""
+    colours.  Each round ranks the keys with one sort.  It returns after
+    the first round that splits no cell, since that round's ranks are the
+    ones the next round would give, or that leaves every vertex a cell of
+    its own, since such a partition cannot split."""
+    n = len(nbrs)
     colors = [len(nb) for nb in nbrs]
     cells = len(set(colors))
     while True:
         get = colors.__getitem__
         keys = [(c, tuple(sorted(map(get, nb)))) for c, nb in zip(colors, nbrs)]
-        rank = {k: r for r, k in enumerate(sorted(set(keys)))}
-        colors = [rank[k] for k in keys]
-        if len(rank) == cells:
+        r = -1
+        prev = None
+        for v in sorted(range(n), key=keys.__getitem__):
+            k = keys[v]
+            if k != prev:
+                r += 1
+                prev = k
+            colors[v] = r
+        if r + 1 == cells or r + 1 == n:
             return colors
-        cells = len(rank)
+        cells = r + 1
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -217,20 +226,24 @@ def canonical_form(g: Graph, autos: list[list[int]] | None = None) -> Graph:
     n = g.n
     if n <= 1:
         return _unchecked_graph(n, g.adj)
-    best_perm, best_cols, found, twins = _canonical_search(g)
-    # bit n-1-i of best_cols[p] is the form's edge (i, p), i < p
-    rows = [0] * n
-    for p, col in enumerate(best_cols):
-        for b in _bits(col):
-            i = n - 1 - b
-            rows[i] |= 1 << p
-            rows[p] |= 1 << i
+    best_perm, found, twins = _canonical_search(g)
+    pos = [0] * n
+    for p, v in enumerate(best_perm):
+        pos[v] = p
+    # the form's vertex i is g's best_perm[i], so its row has bit pos[w]
+    # for each neighbour w of best_perm[i] in g
+    rows = []
+    for v in best_perm:
+        row = 0
+        nb = g.adj[v]
+        while nb:
+            bit = nb & -nb
+            nb ^= bit
+            row |= 1 << pos[bit.bit_length() - 1]
+        rows.append(row)
     if autos is not None:
-        pos = [0] * n
-        for p, v in enumerate(best_perm):
-            pos[v] = p
         # g's automorphism v -> gamma[v] is i -> pos[gamma[best_perm[i]]]
-        # on the form, whose vertex i is g's best_perm[i]
+        # on the form
         for gamma in found:
             autos.append([pos[gamma[v]] for v in best_perm])
         for u, v in sorted(twins):
@@ -240,14 +253,12 @@ def canonical_form(g: Graph, autos: list[list[int]] | None = None) -> Graph:
     return _unchecked_graph(n, rows)
 
 
-def _canonical_search(g: Graph) -> tuple[list[int], list[int], list[list[int]], set[tuple[int, int]]]:
-    """(best_perm, best_cols, autos, twins) for g on n >= 2 vertices:
-    best_perm lists the vertices in canonical_form's order, best_cols[p]
-    has bit n-1-i set iff best_perm[i] and best_perm[p] are adjacent,
-    i < p, autos holds the leaf automorphisms of g found and twins the
-    pairs (u, v) of g's vertices pruned as twins.  canonical_form carries
-    both onto the form it returns, so one search gives the form and its
-    generators.
+def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]], set[tuple[int, int]]]:
+    """(best_perm, autos, twins) for g on n >= 2 vertices: best_perm lists
+    the vertices in canonical_form's order, autos holds the leaf
+    automorphisms of g found and twins the pairs (u, v) of g's vertices
+    pruned as twins.  canonical_form carries both onto the form it
+    returns, so one search gives the form and its generators.
 
     A depth-first search places one vertex per position and prunes with the
     partial bit string, in the manner of McKay's "Practical graph
@@ -276,7 +287,14 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[int], list[list[int]], 
     - the neighbour lists are built once, for the refinement and the search.
     """
     n, adj = g.n, g.adj
-    nbrs = [list(_bits(row)) for row in adj]
+    nbrs = []
+    for row in adj:
+        nb = []
+        while row:
+            bit = row & -row
+            row ^= bit
+            nb.append(bit.bit_length() - 1)
+        nbrs.append(nb)
     colors = _refine_colors(nbrs)
     by_color: dict[int, list[int]] = {}
     for v in range(n):
@@ -387,22 +405,24 @@ def _canonical_search(g: Graph) -> tuple[list[int], list[int], list[list[int]], 
         return n
 
     dfs(0, False, 0)
-    return best_perm, best_cols, autos, twins
+    return best_perm, autos, twins
 
 
 # ---------------------------------------------------------------------------
 # subgraph containment (non-induced monomorphism)
 #
-# embeds(h, g) is the one containment test in the package.  After its size
-# guards it dispatches on h's shape:
+# embeds(h, g) is the one containment test in the package.  After its
+# vertex-count guard it dispatches on h's shape:
 # - mK2 (_as_matching): g has m disjoint edges, decided by the matching
 #   kernel _has_matching, which every plan's leaf shares;
 # - K_{2,k}, k >= 2 (as_biclique): some pair of g's vertices has k common
 #   neighbours, one AND per pair;
-# - anything else: degree sequences first (pigeonhole: h's i-th largest
-#   degree must not exceed g's, or no injection can respect degrees), then
-#   the plan kernel.  A star needs no branch of its own, since the
-#   pigeonhole decides it and the kernel takes its first candidate.
+# - anything else: edge counts and degree sequences first (pigeonhole: h's
+#   i-th largest degree must not exceed g's, or no injection can respect
+#   degrees), then the plan kernel.  The first two branches are exact on
+#   their own, so only this one counts edges.  A star needs no branch of
+#   its own, since the pigeonhole decides it and the kernel takes its
+#   first candidate.
 #
 # The plan kernel: a plan fixes the order in which the pattern's vertices
 # are placed, and extend_embedding backtracks over host bitmask rows along
@@ -530,7 +550,7 @@ def embeds(h: Graph, g: Graph) -> bool:
     neighbour count; every other h to the degree pigeonhole and the plan
     kernel.  The containment section comment above gives the details.
     """
-    if h.n > g.n or h.q > g.q:
+    if h.n > g.n:
         return False
     m = _as_matching(h)
     if m is not None:
@@ -543,6 +563,8 @@ def embeds(h: Graph, g: Graph) -> bool:
             for other in g.adj[u + 1:]:
                 if (row & other).bit_count() >= k:
                     return True
+        return False
+    if h.q > g.q:
         return False
     h_degs = sorted([row.bit_count() for row in h.adj], reverse=True)
     g_degs = sorted([row.bit_count() for row in g.adj], reverse=True)

@@ -3,6 +3,7 @@
 import itertools
 
 from ramsey.arrowing import _lex_violated
+from ramsey.enumeration import _edge_invariant
 from ramsey.graphs import (
     Graph,
     _bits,
@@ -68,6 +69,40 @@ def brute_canonical_form(g: Graph) -> Graph:
     perm = best[1]
     return from_edges(g.n, [(i, j) for j in range(g.n) for i in range(j)
                             if g.has_edge(perm[i], perm[j])])
+
+
+def brute_children(h: Graph, gens: list[list[int]], cap: int) -> list[Graph]:
+    """The children enumeration._children keeps for the class h, found the
+    long way.  The candidates are h's non-edges (i, j), i < j, and the
+    pendant edges (i, n) to a new vertex n, with j < cap, that touch every
+    K2 component of h, in lexicographic order.  Each orbit of candidates
+    under gens (each fixing n) is closed by search, its first candidate is
+    its root, and the root is kept when its new edge's _edge_invariant is
+    the greatest over all of the child's edges, ties included."""
+    n = h.n
+    k2s = [{a, b} for a, b in h.edges() if h.adj[a] == 1 << b and h.adj[b] == 1 << a]
+    cands = [(i, j) for i in range(n) for j in range(i + 1, min(n + 1, cap))
+             if not (j < n and h.has_edge(i, j)) and all({i, j} & k2 for k2 in k2s)]
+    perms = [list(gamma) + [n] for gamma in gens]
+    in_orbit: set[tuple[int, int]] = set()
+    kept = []
+    for i, j in cands:
+        if (i, j) in in_orbit:
+            continue
+        stack = [(i, j)]
+        in_orbit.add((i, j))
+        while stack:
+            a, b = stack.pop()
+            for gamma in perms:
+                e = tuple(sorted((gamma[a], gamma[b])))
+                if e not in in_orbit:
+                    in_orbit.add(e)
+                    stack.append(e)
+        child = from_edges(max(n, j + 1), h.edges() + [(i, j)])
+        if _edge_invariant(child.adj, i, j) == max(_edge_invariant(child.adj, a, b)
+                                                   for a, b in child.edges()):
+            kept.append(child)
+    return kept
 
 
 def brute_has_matching(g: Graph, m: int, avail: int | None = None) -> bool:

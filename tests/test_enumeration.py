@@ -6,6 +6,7 @@ import pytest
 from ramsey import enumeration, graphs
 from ramsey.enumeration import (
     EnumFilter,
+    _children,
     _edge_invariant,
     _isolate_free_classes,
     _k2_lead,
@@ -23,7 +24,7 @@ from ramsey.graphs import (
     is_connected,
 )
 
-from brute import brute_graph_classes, brute_graphs
+from brute import brute_children, brute_graph_classes, brute_graphs
 
 # graphs with q edges and no isolated vertices, OEIS A000664; q <= 4 is also
 # checked against the brute-force oracles below
@@ -108,6 +109,17 @@ def test_carried_generators_are_automorphisms(q):
             for gamma in gens:
                 assert sorted(gamma) == list(range(g.n))
                 assert {tuple(sorted((gamma[i], gamma[j]))) for i, j in edges} == edges
+
+
+def test_children_match_brute_force():
+    # the invariant test on the parent's rows, the orbit walk among its
+    # survivors and the K2 restrictions must keep the children that
+    # brute_children keeps the long way, in the same order
+    for q in range(1, 8):
+        for cap in range(2, 2 * q + 1):
+            for h, gens in _isolate_free_classes(q, cap):
+                assert list(_children(h, gens, cap)) == brute_children(h, gens, cap), \
+                    (graph6_encode(h), cap)
 
 
 def test_no_k2_component_is_labelled(monkeypatch):

@@ -267,6 +267,15 @@ class TestEmbeds:
         assert not embeds(K4, K3)
         assert not embeds(K3, P4)  # more edges than the path has
 
+    def test_more_edges_than_the_host_on_the_exact_branches(self):
+        # the matching kernel and the K2,k pair count answer without the
+        # edge-count guard: 3K2 in a 6-vertex host with 2 edges, K2,3 in C5
+        for h, g in ((graph_from_name("3K2"), from_edges(6, [(0, 1), (2, 3)])),
+                     (graph_from_name("K2,3"), graph_from_name("C5"))):
+            assert h.q > g.q
+            assert not embeds(h, g)
+            assert not brute_embeds(h, g)
+
     def test_not_induced(self):
         # a blue K4 contains a blue C4
         assert embeds(C4, K4)
